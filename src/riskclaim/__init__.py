@@ -99,7 +99,6 @@ from .solvers import (
     ProblemSpec,
     Solution,
     Tolerances,
-    classical_indicator,
     critical_value_robust,
     huber_strassen_pi,
     risk_curve,

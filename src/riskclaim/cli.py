@@ -232,7 +232,11 @@ def run_verify(args: argparse.Namespace) -> int:
         raise ConfigError(f"--n must be >= 2, got {args.n}")
     tol = args.tol
     if tol is None:
-        tol = float(os.environ.get(TOL_ENV_VAR, DEFAULT_VERIFY_TOL))
+        raw = os.environ.get(TOL_ENV_VAR, DEFAULT_VERIFY_TOL)
+        try:
+            tol = float(raw)
+        except ValueError:
+            raise ConfigError(f"${TOL_ENV_VAR} must be a number, got {raw!r}") from None
     measure = parse_measure(args.measure)
     density = parse_density(args.density)
     if not isinstance(measure, (AVaRMeasure, QuantileMeasure, RobustMeasure)):

@@ -185,11 +185,19 @@ class Exponential(LossFunction):
 
     defined_on_reals = True
 
+    def _exp(self, x: float) -> float:
+        try:
+            return math.exp(self.a * x)
+        except OverflowError:
+            raise InvalidParameter(
+                f"exponential loss exp({self.a} * x) overflows at x = {x}"
+            ) from None
+
     def value(self, x: float) -> float:
-        return math.exp(self.a * x)
+        return self._exp(x)
 
     def derivative(self, x: float) -> float:
-        return self.a * math.exp(self.a * x)
+        return self.a * self._exp(x)
 
     def inverse_derivative(self, z: float) -> float:
         if z <= 0.0:

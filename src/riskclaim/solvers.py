@@ -18,9 +18,10 @@ function of the price density phi. Each measure gets its own route:
                            risk-free floor beta, an inner root-find for the
                            multiplier c that matches the budget of
                            beta v I(c phi) ^ K on the tail.
-    solve_shifted          damped fixed-point iteration on the reported risk
-                           level R, each step re-solving a robust-utility
-                           problem with the loss shifted by R.
+    solve_shifted          one robust-utility solve; R re-scored by the
+                           certainty-equivalent evaluator (an exponential
+                           loss factors the shift out, so the robust
+                           minimizer is the shifted minimizer).
     solve_var              direct budget algebra: zero risk when the budget
                            fits strictly inside the top lam-tail, otherwise
                            a flat level r below the tail plus full cap on it.
@@ -82,10 +83,6 @@ class Tolerances:
     y_lambda_residual: float = 1e-11
     budget_root: float = 1e-10
     beta_search: float = 1e-9
-    inner_quad: float = 1e-12
-    fixed_point: float = 1e-8
-    fixed_point_max_iter: int = 200
-    fixed_point_damping: float = 0.5
     critical_width: float = 1e-5
     critical_beta_threshold: float = 1e-7
     grid_coarse: int = 400
@@ -297,12 +294,14 @@ def solve_quantile_based(
     fmin = min(c[2] for c in candidates)
     near = sorted(c for c in candidates if c[2] <= fmin + tol.tie_window)
     x_star, y_star, _ = near[0]
-    risk = r_scalar(x_star, y_star)
 
     phi_x = float(d.capital_integral(x_star))
     phi_y = float(d.capital_integral(y_star))
     den = phi_y - phi_x
     beta = min(max((v - 1.0 + phi_y) / den, 0.0), 1.0) if den > 0.0 else 0.0
+    # score the claim actually returned, with its middle level clipped to [0, 1]
+    gamma_x, gamma_y = float(k.gamma(x_star)), float(k.gamma(y_star))
+    risk = beta * (gamma_y - gamma_x) + 1.0 - gamma_y
     a = float(d.quantile(x_star))
     b = float(d.quantile(y_star))
     payoff = TwoStep(beta, a, b, 1.0)
@@ -319,13 +318,6 @@ def solve_quantile_based(
             "near_minimizers": [[c[0], c[1], c[2]] for c in near],
         },
     )
-
-
-def classical_indicator(d: PriceDensity, v: float, cap: float = 1.0) -> TwoStep:
-    """The cheapest digital option raising v: cap on the most expensive states."""
-    z = d.z_of_v(v / cap)
-    b = float(d.quantile(z))
-    return TwoStep(0.0, b, b, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -576,11 +568,15 @@ def solve_shifted(
 ) -> Solution:
     """Optimal claim for the translation-invariant certainty-equivalent risk.
 
-    The minimal risk R(v) enters its own optimality condition, so we iterate:
-    solve the worst-case expected-loss problem with the loss shifted by the
-    current R, re-score that claim, and relax halfway toward the new value.
-    Convergence of the damped loop is checked, never assumed; the loop ends
-    in NonConvergence if 200 steps cannot settle the level to 1e-8.
+    One robust-utility solve; R re-scored by the certainty-equivalent
+    evaluator. One solve suffices because every loss defined on the reals,
+    an `Exponential` or a `Shifted` exponential, factors the shift out:
+    E[exp(a(X - m))] = exp(-a m) E[exp(a X)], so the level solving
+    (1/lam) E[loss(X - R); tail] = x0 is R = (1/a) log(robust risk / x0),
+    the entropic certainty equivalent. R is increasing in the robust risk,
+    hence the robust minimizer is the shifted minimizer. A future loss on
+    the reals that does not factor gets a bracketed root for R, never a
+    fixed-point loop.
     """
     if not 0.0 < lam <= 1.0:
         raise InvalidParameter(f"lambda must lie in (0, 1], got {lam}")
@@ -598,32 +594,20 @@ def solve_shifted(
             payoff, risk, price(payoff, d) - v, "boundary", {"alpha": v, "R": risk}
         )
 
-    level = shifted_risk(loss, lam, x0, classical_indicator(d, v, cap), d)
-    residual = math.inf
-    iterations = 0
-    for iterations in range(1, tol.fixed_point_max_iter + 1):
-        inner = solve_robust_utility(d, Shifted(loss, level), lam, v, cap, tol)
-        target = shifted_risk(loss, lam, x0, inner.payoff, d)
-        step = tol.fixed_point_damping * (target - level)
-        level += step
-        residual = abs(step)
-        if residual <= tol.fixed_point:
-            break
-    else:
-        raise NonConvergence(
-            f"fixed point not settled after {tol.fixed_point_max_iter} iterations",
-            residual=residual,
-        )
-    final = solve_robust_utility(d, Shifted(loss, level), lam, v, cap, tol)
-    payoff = final.payoff
-    alpha = final.params["beta"]
+    robust = solve_robust_utility(d, loss, lam, v, cap, tol)
+    level = shifted_risk(loss, lam, x0, robust.payoff, d)
+    shifted = Shifted(loss, level)
+    alpha, z = robust.params["beta"], robust.params["y"]
+    # the multiplier of the loss shifted by R: the claim leaves its floor at z
+    gamma = shifted.derivative(alpha) / z
+    residual = abs(robust_risk(shifted, lam, robust.payoff, d) - x0)
     return Solution(
-        payoff,
+        robust.payoff,
         level,
-        price(payoff, d) - v,
-        "classical" if alpha <= tol.classical_beta else "diversified",
-        {"alpha": alpha, "gamma": final.params["c"], "z": final.params["y"], "R": level},
-        diagnostics={"iterations": iterations, "last_residual": residual},
+        robust.budget_residual,
+        robust.regime,
+        {"alpha": alpha, "gamma": gamma, "z": z, "R": level},
+        diagnostics={"iterations": 1, "last_residual": residual},
     )
 
 

@@ -12,6 +12,16 @@ def run(args, capsys):
     return code, out.out, out.err
 
 
+def solve_and_reevaluate(args, tmp_path, capsys):
+    out_path = tmp_path / "solution.json"
+    code, _, _ = run(["solve", *args, "--out", str(out_path)], capsys)
+    assert code == 0
+    doc = json.loads(out_path.read_text())
+    got_price, got_risk = reevaluate_solution(doc)
+    assert got_price == pytest.approx(doc["v"] + doc["budget_residual"], abs=1e-12)
+    assert got_risk == pytest.approx(doc["risk"], abs=1e-12)
+
+
 class TestSolve:
     def test_avar_diversified(self, capsys):
         code, out, _ = run(
@@ -42,26 +52,30 @@ class TestSolve:
         assert doc["params"]["x_star"] > 0.0
 
     def test_roundtrip_reevaluation(self, tmp_path, capsys):
-        out_path = tmp_path / "solution.json"
-        code, _, _ = run(
-            [
-                "solve",
-                "--measure",
-                "avar:0.75",
-                "--density",
-                "uniform:0,2",
-                "--v",
-                "0.9",
-                "--out",
-                str(out_path),
-            ],
+        solve_and_reevaluate(
+            ["--measure", "avar:0.75", "--density", "uniform:0,2", "--v", "0.9"], tmp_path, capsys
+        )
+
+    def test_shifted_roundtrip_reevaluation(self, tmp_path, capsys):
+        solve_and_reevaluate(
+            ["--measure", "shifted:exp:1:0.5:1", "--density", "uniform:0,2", "--v", "0.5"],
+            tmp_path,
             capsys,
         )
-        assert code == 0
-        doc = json.loads(out_path.read_text())
-        got_price, got_risk = reevaluate_solution(doc)
-        assert got_price == pytest.approx(doc["v"] + doc["budget_residual"], abs=1e-12)
-        assert got_risk == pytest.approx(doc["risk"], abs=1e-12)
+
+    def test_rho_k_clipped_level_roundtrip_reevaluation(self, tmp_path, capsys):
+        # the optimum sits in the classical regime with its middle level clipped to 0
+        density = (
+            "plq:0.0:0.03963684956512371,0.2698572049658772:0.603138316776217,"
+            "0.52112720162866:1.1243182961978844,0.9038466715409064:1.5948953092067237,"
+            "1.0:2.0637246139047787"
+        )
+        solve_and_reevaluate(
+            ["--measure", "rho_k:twolevel:0.28299700002383676,0.7853064289932463",
+             "--density", density, "--v", "0.961914882520597"],
+            tmp_path,
+            capsys,
+        )
 
     def test_missing_option_is_config_error(self, capsys):
         code, _, err = run(["solve", "--measure", "avar:0.75", "--v", "0.5"], capsys)
@@ -90,6 +104,15 @@ class TestSolve:
         )
         assert code == 2
         assert "solver error" in err
+
+    def test_overflowing_loss_is_solver_error(self, capsys):
+        code, _, err = run(
+            ["solve", "--measure", "robust:exp:1:0.75", "--density", "uniform:0,2",
+             "--cap", "1000", "--v", "400"],
+            capsys,
+        )
+        assert code == 2
+        assert "overflows" in err
 
 
 class TestCurve:
@@ -246,6 +269,14 @@ class TestVerify:
             capsys,
         )
         assert code == 3  # coarse grid cannot meet 1e-9
+
+    def test_bad_env_tolerance_is_config_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("RISKCLAIM_TOL", "abc")
+        code, _, err = run(
+            ["verify", "--measure", "avar:0.75", "--density", "uniform:0,2", "--v", "0.5"], capsys
+        )
+        assert code == 1
+        assert "config error" in err
 
     def test_rejects_var_measure(self, capsys):
         code, _, _ = run(

@@ -282,6 +282,18 @@ class TestSolveShifted:
         assert g_half < g_one
         assert g_34 < g_one
 
+    def test_plq_density_matches_robust_claim(self):
+        d = PiecewiseLinearQuantile((0.0, 0.5, 1.0), (0.2, 0.8, 2.2))
+        loss = Exponential(1.5)
+        s = solve_shifted(d, loss, 0.6, 0.4, 1.0, 1.0)
+        r = solve_robust_utility(d, loss, 0.6, 0.4, 1.0)
+        assert s.regime == "diversified"
+        grid = np.linspace(0.2, 2.2, 401)
+        gap = max(abs(s.payoff.value(x) - r.payoff.value(x)) for x in grid)
+        assert gap <= 1e-12
+        # entropic certainty equivalent: R = (1/a) log(robust risk / x0)
+        assert s.risk == pytest.approx(math.log(r.risk / 1.0) / 1.5, abs=1e-9)
+
 
 class TestSolveVar:
     def test_zero_risk_branch(self):
