@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
 _FLAG_DEFAULTS = {"cap": 1.0, "n": 2000, "tol": None}
 
 
-def _apply_config_file(args: argparse.Namespace) -> None:
+def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     if not getattr(args, "config", None):
         return
     path = Path(args.config)
@@ -118,10 +118,17 @@ def _apply_config_file(args: argparse.Namespace) -> None:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}", exc.pos) from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
+    command = next(a for a in parser._actions if a.dest == "command").choices[args.command]
+    flag_types = {a.dest: a.type or str for a in command._actions if a.dest in vars(args)}
     for key, value in data.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if attr not in flag_types:
             raise ConfigError(f"config key {key!r} does not mirror any flag")
+        # convert as argparse would convert the same text given as a flag
+        try:
+            value = flag_types[attr](str(value))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"config key {key!r}: cannot read {value!r}: {exc}") from exc
         if getattr(args, attr) == _FLAG_DEFAULTS.get(attr):
             setattr(args, attr, value)
 
@@ -302,7 +309,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        _apply_config_file(args)
+        _apply_config_file(args, parser)
         if args.command == "solve":
             return run_solve(args)
         if args.command == "curve":

@@ -14,8 +14,10 @@ function of the price density phi. Each measure gets its own route:
                            the risk R(x, y) is minimized over the triangle
                            0 <= x < z_v < y <= 1 by grid + refinement with
                            the boundary families checked explicitly.
-    solve_robust_utility   nested search: an outer 1-D minimization over the
-                           risk-free floor beta, an inner root-find for the
+    solve_robust_utility   the risk is convex in the risk-free floor beta, so
+                           the optimal floor is a bracketed root of its slope
+                           (or an end of the feasible range, by one sign test
+                           each); for each beta an inner root-find gives the
                            multiplier c that matches the budget of
                            beta v I(c phi) ^ K on the tail.
     solve_shifted          one robust-utility solve; R re-scored by the
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,7 +46,6 @@ from .densities import PriceDensity, require_solver_grade
 from .errors import (
     CurveShapeViolation,
     InvalidParameter,
-    NoBracket,
     NonConvergence,
     RiskclaimError,
 )
@@ -83,8 +84,6 @@ class Tolerances:
     y_lambda_residual: float = 1e-11
     budget_root: float = 1e-10
     beta_search: float = 1e-9
-    critical_width: float = 1e-5
-    critical_beta_threshold: float = 1e-7
     grid_coarse: int = 400
     grid_rounds: int = 40
     flat_tol: float = 1e-9
@@ -321,7 +320,7 @@ def solve_quantile_based(
 
 
 # ---------------------------------------------------------------------------
-# Robust utility functionals: nested beta/c search
+# Robust utility functionals: slope root in beta, budget root in c
 # ---------------------------------------------------------------------------
 
 
@@ -340,15 +339,14 @@ class _RobustKernel:
     def __init__(self, d: PriceDensity, loss: LossFunction, lam: float, cap: float, tol: Tolerances):
         self.d = d
         self.loss = loss
-        self.lam = lam
         self.cap = cap
         self.tol = tol
         self.q_level = 1.0 - lam
-        self.q_value = float(d.quantile(self.q_level))
         self.low_capital = float(d.capital_integral(self.q_level))  # E[phi; phi < q]
         self.tail_capital = d.mean() - self.low_capital
         self.kinks = sorted(d.quantile_kink_levels())
-        self._last_c: float | None = None
+        self._solved: dict[tuple[float, float], float] = {}
+        self._last_c = 1.0
         self.inner_iterations = 0
 
     def _cut_levels(self, beta: float, c: float) -> tuple[float, float]:
@@ -380,21 +378,20 @@ class _RobustKernel:
         top = self.cap * (self.d.mean() - float(self.d.capital_integral(t2)))
         return low + self._mid_integral(beta, c, t1, t2, with_price=True) + top
 
-    def tail_loss(self, beta: float, c: float) -> float:
-        """E[loss(f(phi)); phi >= q] for the same claim."""
-        t1, t2 = self._cut_levels(beta, c)
-        low = self.loss.value(beta) * (t1 - self.q_level)
-        top = self.loss.value(self.cap) * (1.0 - t2)
-        return low + self._mid_integral(beta, c, t1, t2, with_price=False) + top
-
     def solve_c(self, beta: float, v: float) -> float:
-        """Multiplier making the tail price hit v - beta * E[phi; phi < q]."""
+        """Multiplier making the tail price hit v - beta * E[phi; phi < q].
+
+        Solves are kept: asking again for the same (beta, v) costs nothing,
+        and a new solve starts its bracket from the last multiplier found.
+        """
+        c = self._solved.get((beta, v))
+        if c is not None:
+            return c
         target = v - beta * self.low_capital
         h = lambda c: self.tail_price(beta, c) - target
-        start = self._last_c if self._last_c is not None else 1.0
-        bracket = geometric_bracket(h, start, 1e-220, 1e220)
+        bracket = geometric_bracket(h, self._last_c, 1e-220, 1e220)
         c = root_bracketed(h, bracket, tol=self.tol.budget_root)
-        self._last_c = c
+        self._solved[(beta, v)] = self._last_c = c
         self.inner_iterations += 1
         return c
 
@@ -411,51 +408,20 @@ class _RobustKernel:
             self.d.capital_integral(t1)
         )
 
-    def beta_bounds(self, v: float) -> tuple[float, float]:
+    def floor_range(self, v: float) -> tuple[float, float]:
+        """Lowest budget-feasible floor, and the highest floor probed.
+
+        Below `lo` the tail alone cannot raise v. The top stays 1e-9 short
+        of v: at beta = v the claim is the constant v and the multiplier is
+        not identified.
+        """
+        top = v * (1.0 - 1e-9)
         lo = 0.0
         if self.low_capital > 1e-15:
             lo = max(0.0, (v - self.cap * self.tail_capital) / self.low_capital)
             if lo > 0.0:
-                lo = min(lo + 1e-9 * self.cap, v)
-        return lo, v
-
-    def objective(self, v: float) -> Callable[[float], float]:
-        def L(beta: float) -> float:
-            if beta >= v - 1e-12:
-                return self.loss.value(v) * (1.0 - self.q_level)
-            try:
-                c = self.solve_c(beta, v)
-            except (NoBracket, NonConvergence):
-                return math.inf
-            return self.tail_loss(beta, c)
-
-        return L
-
-
-def _polish_floor(kernel: _RobustKernel, beta: float, v: float, beta_lo: float) -> float:
-    """Sharpen an interior floor by solving the stationarity condition.
-
-    Golden section localizes the argmin to ~sqrt(noise); the slope root is a
-    proper sign change and recovers the floor to near machine precision.
-    Boundary optima are left untouched, and any bracketing failure falls
-    back to the searched value.
-    """
-    width = 3e-5 * max(1.0, v)
-    if beta <= beta_lo + width or beta >= v - width:
-        return beta
-    try:
-        g = lambda b: kernel.objective_slope(b, v)
-        lo, hi = beta - width, beta + width
-        glo, ghi = g(lo), g(hi)
-        for _ in range(8):
-            if glo <= 0.0 <= ghi:
-                return root_bracketed(g, Bracket(lo, hi), tol=1e-12)
-            lo, hi = max(beta_lo, lo - 4 * width), min(v * (1 - 1e-12), hi + 4 * width)
-            width *= 4.0
-            glo, ghi = g(lo), g(hi)
-    except (NoBracket, NonConvergence):
-        pass
-    return beta
+                lo += 1e-9 * self.cap
+        return min(lo, top), top
 
 
 def solve_robust_utility(
@@ -468,11 +434,17 @@ def solve_robust_utility(
 ) -> Solution:
     """Optimal claim for the worst-case expected-loss functional.
 
-    Outer golden-section (with grid pre-scan) over the risk-free floor beta
-    in [0, v]; for each beta the inner root-find matches the tail budget.
     The optimum is beta v I(c* phi) ^ cap, reported as a CappedInverse with
     y = l'(beta)/c so the flat part ends exactly where the inverse marginal
-    loss takes over.
+    loss takes over. For each floor beta an inner root-find matches the
+    tail budget; the risk L(beta) of the budget-matched claim is the value
+    of a convex program after minimizing over the rest, so L is convex and
+    the optimal floor is a bracketed root of its slope, to the budget
+    tolerance the slope itself is computed at. One sign test per
+    end of [beta_lo, v (1 - 1e-9)] catches the boundary optima first;
+    `diagnostics["floor"]` says which case held: "lower" (the lowest
+    feasible floor, 0 unless the tail alone cannot raise v), "budget" (the
+    constant claim, up to the 1e-9 margin) or "interior".
     """
     if not 0.0 < lam <= 1.0:
         raise InvalidParameter(f"lambda must lie in (0, 1], got {lam}")
@@ -487,10 +459,16 @@ def solve_robust_utility(
         return Solution(payoff, risk, price(payoff, d) - v, "boundary", {"beta": v})
 
     kernel = _RobustKernel(d, loss, lam, cap, tol)
-    beta_lo, beta_hi = kernel.beta_bounds(v)
-    search = minimize_1d(kernel.objective(v), beta_lo, beta_hi, tol=tol.beta_search)
-    beta = min(search.argmin, v * (1.0 - 1e-12))
-    beta = _polish_floor(kernel, beta, v, beta_lo)
+    beta_lo, top = kernel.floor_range(v)
+    slope = lambda b: kernel.objective_slope(b, v)
+    if slope(beta_lo) >= 0.0:
+        beta, floor = beta_lo, "lower"
+    elif slope(top) <= 0.0:
+        beta, floor = top, "budget"
+    else:
+        # the slope carries the error of the budget root, so ask no more of it
+        beta = root_bracketed(slope, Bracket(beta_lo, top), tol=tol.budget_root)
+        floor = "interior"
     c = kernel.solve_c(beta, v)
     y = kernel.loss.derivative(beta) / c
     payoff = CappedInverse(beta, c, y, cap, loss)
@@ -503,10 +481,7 @@ def solve_robust_utility(
         residual,
         regime,
         {"beta": beta, "c": c, "y": y},
-        diagnostics={
-            "inner_root_solves": kernel.inner_iterations,
-            "outer_multimodal": search.multimodal,
-        },
+        diagnostics={"inner_root_solves": kernel.inner_iterations, "floor": floor},
     )
 
 
@@ -519,42 +494,28 @@ def critical_value_robust(
 ) -> float:
     """Budget level where the optimal risk-free floor turns positive.
 
-    Bisection on v for the predicate beta(v) > threshold, exploiting that
-    beta is nondecreasing in v. The result is certified to sit strictly
-    below cap * E[phi; phi >= q], the bound the diversification argument
-    imposes.
+    The floor is zero exactly while the slope of the risk at a zero floor
+    is nonnegative, so the critical budget is the root in v of that slope
+    on [1e-3 upper, upper (1 - 1e-9)], where upper = cap * E[phi; phi >= q]
+    is the bound the diversification argument imposes. NonConvergence when
+    the slope does not change sign there.
     """
     if not 0.0 < lam < 1.0:
         raise InvalidParameter(
             f"critical value defined for lambda in (0, 1) only, got {lam}"
         )
     require_solver_grade(d)
-    q_level = 1.0 - lam
-    upper = cap * (d.mean() - float(d.capital_integral(q_level)))
-
-    def beta_at(v: float) -> float:
-        return solve_robust_utility(d, loss, lam, v, cap, tol).params["beta"]
-
-    thr = tol.critical_beta_threshold
-    lo = 1e-3 * upper
-    for _ in range(6):
-        if beta_at(lo) <= thr:
-            break
-        lo *= 0.1
-    else:
-        raise NonConvergence("no budget with a zero risk-free floor was found")
-    hi = upper * (1.0 - 1e-9)
-    if beta_at(hi) <= thr:
+    kernel = _RobustKernel(d, loss, lam, cap, tol)
+    upper = cap * kernel.tail_capital
+    lo, hi = 1e-3 * upper, upper * (1.0 - 1e-9)
+    slope = lambda v: kernel.objective_slope(0.0, v)
+    if slope(lo) < 0.0:
+        raise NonConvergence(f"risk-free floor already positive at budget {lo:.6g}")
+    if slope(hi) >= 0.0:
         raise NonConvergence(
             f"risk-free floor still zero at the tail-capital bound {upper:.6g}"
         )
-    while hi - lo > tol.critical_width:
-        mid = 0.5 * (lo + hi)
-        if beta_at(mid) > thr:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return root_bracketed(slope, Bracket(lo, hi), tol=tol.budget_root)
 
 
 def solve_shifted(

@@ -363,3 +363,26 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"nonsense": 1}))
         code, _, err = run(["solve", "--config", str(cfg)], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("key", ["tol", "n", "v", "cap"])
+    def test_untyped_value_is_config_error(self, key, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: "abc"}))
+        code, _, err = run(
+            ["verify", "--config", str(cfg), "--measure", "avar:0.75", "--density",
+             "uniform:0,2", "--v", "0.5", "--n", "50"],
+            capsys,
+        )
+        assert code == 1
+        assert "config error" in err
+
+    def test_numeric_strings_convert(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tol": "1e-9", "n": "50"}))
+        code, out, _ = run(
+            ["verify", "--config", str(cfg), "--measure", "avar:0.75", "--density",
+             "uniform:0,2", "--v", "0.5"],
+            capsys,
+        )
+        assert code == 3  # read as numbers: a 50-atom grid cannot meet 1e-9
+        assert json.loads(out)["n_atoms"] == 50

@@ -38,6 +38,7 @@ from riskclaim import (
     var_risk,
     y_lambda,
 )
+from riskclaim.solvers import DEFAULT_TOLERANCES, _RobustKernel
 
 from conftest import random_continuous_density
 
@@ -232,6 +233,40 @@ class TestSolveRobustUtility:
         assert s0.risk == pytest.approx(1.0)  # loss(0) = 1 on the whole tail
         s1 = solve_robust_utility(UNIF, Exponential(1.0), 0.75, 1.0, 1.0)
         assert s1.risk == pytest.approx(math.e)
+
+    @pytest.mark.parametrize("loss", [Exponential(1.0), Power(2.0)], ids=["exp", "pow"])
+    @pytest.mark.parametrize(
+        "density",
+        [UNIF, PiecewiseLinearQuantile((0.0, 0.5, 1.0), (0.2, 0.8, 2.2))],
+        ids=["uniform", "plq"],
+    )
+    def test_floor_beats_every_grid_floor(self, density, loss):
+        """Convexity certificate: no budget-matched claim on a 201-point
+        floor grid scores below the slope root."""
+        lam, v = 0.75, 0.5
+        s = solve_robust_utility(density, loss, lam, v, 1.0)
+        kernel = _RobustKernel(density, loss, lam, 1.0, DEFAULT_TOLERANCES)
+        lo, top = kernel.floor_range(v)
+        grid_risks = []
+        for beta in map(float, np.linspace(lo, top, 201)):
+            c = kernel.solve_c(beta, v)
+            payoff = CappedInverse(beta, c, loss.derivative(beta) / c, 1.0, loss)
+            grid_risks.append(robust_risk(loss, lam, payoff, density))
+        assert s.risk <= min(grid_risks) + 1e-10
+
+    @pytest.mark.parametrize("loss", [Exponential(1.0), Power(2.0)], ids=["exp", "pow"])
+    def test_inner_solve_count(self, loss):
+        s = solve_robust_utility(UNIF, loss, 0.75, 0.5, 1.0)
+        assert s.diagnostics["floor"] == "interior"
+        assert s.diagnostics["inner_root_solves"] <= 40
+
+    def test_budget_floor_below_sharp_prior_bound(self):
+        # ess sup phi = 1.5 < 1/lam = 2: the constant claim is optimal
+        d = Uniform(0.5, 1.5)
+        loss = Exponential(1.0)
+        s = solve_robust_utility(d, loss, 0.5, 0.5, 1.0)
+        assert s.diagnostics["floor"] == "budget"
+        assert s.risk == pytest.approx(robust_risk(loss, 0.5, Constant(0.5), d), abs=1e-8)
 
 
 class TestCriticalValueRobust:
