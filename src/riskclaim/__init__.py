@@ -75,7 +75,6 @@ from .numerics import (
     Minimize1D,
     Minimize2D,
     geometric_bracket,
-    integrate_adaptive,
     minimize_1d,
     minimize_2d,
     root_bracketed,

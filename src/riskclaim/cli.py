@@ -103,12 +103,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_FLAG_DEFAULTS = {"cap": 1.0, "n": 2000, "tol": None}
-
-
-def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+def _apply_config_file(
+    args: argparse.Namespace, parser: argparse.ArgumentParser, argv: list[str] | None
+) -> argparse.Namespace:
+    """Parse argv again with the config file's values as the subcommand's
+    defaults, so that every flag given explicitly wins."""
     if not getattr(args, "config", None):
-        return
+        return args
     path = Path(args.config)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -120,17 +121,18 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
         raise ConfigError(f"config file {path} must hold a JSON object")
     command = next(a for a in parser._actions if a.dest == "command").choices[args.command]
     flag_types = {a.dest: a.type or str for a in command._actions if a.dest in vars(args)}
+    defaults = {}
     for key, value in data.items():
         attr = key.replace("-", "_")
         if attr not in flag_types:
             raise ConfigError(f"config key {key!r} does not mirror any flag")
         # convert as argparse would convert the same text given as a flag
         try:
-            value = flag_types[attr](str(value))
+            defaults[attr] = flag_types[attr](str(value))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"config key {key!r}: cannot read {value!r}: {exc}") from exc
-        if getattr(args, attr) == _FLAG_DEFAULTS.get(attr):
-            setattr(args, attr, value)
+    command.set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def _write(text: str, out: str | None) -> None:
@@ -309,7 +311,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        _apply_config_file(args, parser)
+        args = _apply_config_file(args, parser, argv)
         if args.command == "solve":
             return run_solve(args)
         if args.command == "curve":

@@ -31,11 +31,12 @@ from typing import Union
 import numpy as np
 
 from .errors import ConfigError, InvalidParameter, UnsupportedDensity
-from .numerics import Bracket, root_bracketed
+from .numerics import Bracket, gauss_legendre, root_bracketed
 
 MEAN_TOL = 1e-9
 PROB_SUM_TOL = 1e-12
 Z_RESIDUAL_TOL = 1e-12
+_TAIL_END_S = -math.log(1e-17)  # s = -log(1 - t) where tail rules stop at t = 1
 
 
 @dataclass(frozen=True)
@@ -75,6 +76,17 @@ class PriceDensity:
     def quantile_kink_levels(self) -> list[float]:
         """Interior levels where the quantile function has kinks."""
         return []
+
+    def quantile_rule(self, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+        """Quantile values q and weights w with int_lo^hi g(q(t)) dt = sum w g(q).
+
+        Exact to roundoff for g smooth on the range, since the rule is
+        Gauss-Legendre between the quantile kinks. Callers cut [lo, hi]
+        where g itself has kinks.
+        """
+        cuts = [lo] + [k for k in self.quantile_kink_levels() if lo < k < hi] + [hi]
+        t, w = gauss_legendre(cuts)
+        return np.asarray(self.quantile(t)), w
 
     def validate(self) -> list[ValidationIssue]:
         raise NotImplementedError
@@ -191,8 +203,8 @@ class PiecewiseLinearQuantile(PriceDensity):
     last level must be 1 and phi is bounded by the last value. With
     tail_theta > 0 the last level must be below 1 and the quantile continues
     as q_m + theta * log((1 - t_m)/(1 - t)), an exponential upper tail that
-    makes phi unbounded; the capital integral over the tail stays closed
-    form, so no quadrature ever meets the unbounded region.
+    makes phi unbounded. The capital integral over the tail stays closed
+    form, and `quantile_rule` integrates across it in s = -log(1 - t).
     """
 
     levels: tuple[float, ...]
@@ -327,6 +339,25 @@ class PiecewiseLinearQuantile(PriceDensity):
         interior = [float(t) for t in self._t if 0.0 < t < 1.0]
         return interior
 
+    def quantile_rule(self, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+        """Across the exponential tail the rule runs in s = -log(1 - t),
+        where q is linear and dt = exp(-s) ds. q is computed from s, so no
+        node meets q(1) = inf; an upper level of 1 stops at 1 - t = 1e-17,
+        which drops less than 1e-15 of any integrand growing like q."""
+        tm = float(self._t[-1])
+        if self.tail_theta is None or hi <= tm:
+            return super().quantile_rule(lo, hi)
+        s_m = -math.log1p(-tm)
+        s_lo = -math.log1p(-max(lo, tm))
+        s_hi = -math.log(1.0 - hi) if hi < 1.0 else _TAIL_END_S
+        s, ws = gauss_legendre([s_lo, s_hi])
+        q = self._q[-1] + self.tail_theta * (s - s_m)
+        w = ws * np.exp(-s)
+        if lo >= tm:
+            return q, w
+        q_body, w_body = super().quantile_rule(lo, tm)
+        return np.concatenate([q_body, q]), np.concatenate([w_body, w])
+
     def validate(self) -> list[ValidationIssue]:
         issues = []
         resid = abs(self.mean() - 1.0)
@@ -394,6 +425,11 @@ class EmpiricalDiscrete(PriceDensity):
     def cell_bounds(self) -> np.ndarray:
         """Cumulative probabilities [0, c_1, ..., c_n] delimiting quantile cells."""
         return self._c
+
+    def quantile_rule(self, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+        """The atoms, each weighted by the overlap of its cell with [lo, hi]."""
+        c = self._c
+        return self._v, np.clip(np.minimum(c[1:], hi) - np.maximum(c[:-1], lo), 0.0, None)
 
     def cdf(self, x):
         scalar = isinstance(x, (float, int))

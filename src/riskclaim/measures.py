@@ -14,24 +14,24 @@ Supported measures, all law-invariant:
 
 Because every payoff here is an increasing function f of phi, quantiles
 compose: q_{f(phi)}(t) = f(q_phi(t)) almost everywhere. All evaluators
-exploit that identity, integrating in quantile space where step payoffs
-are exact and smooth pieces fall to adaptive quadrature.
+exploit that identity, integrating in quantile space: step payoffs are
+exact sums over their quantile cells, and the rising part of a
+`CappedInverse` runs on the density's own `quantile_rule`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 import numpy as np
 
 from .densities import EmpiricalDiscrete, PriceDensity
 from .errors import BracketFailure, ConfigError, InvalidParameter, UnsupportedDensity
-from .numerics import Bracket, integrate_adaptive, merged_breakpoints, root_bracketed
+from .numerics import Bracket, gauss_legendre, merged_breakpoints, root_bracketed
 
 WEIGHT_INTEGRAL_TOL = 1e-12
-_QUAD_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -93,9 +93,6 @@ class WeightFunction:
         j = np.clip(np.searchsorted(self._edges, xa, side="right") - 1, 0, len(self._vals) - 1)
         out = self._cum[j] + self._vals[j] * (xa - self._edges[j])
         return float(out) if scalar else out
-
-    def interior_thresholds(self) -> list[float]:
-        return [t for t in self.thresholds if 0.0 < t < 1.0]
 
     def to_dict(self) -> dict:
         return {"thresholds": list(self.thresholds), "values": list(self.values)}
@@ -207,7 +204,13 @@ class Exponential(LossFunction):
         return math.log(z / self.a) / self.a
 
     def value_array(self, x: np.ndarray) -> np.ndarray:
-        return np.exp(self.a * x)
+        try:
+            with np.errstate(over="raise"):
+                return np.exp(self.a * np.asarray(x, float))
+        except FloatingPointError:
+            raise InvalidParameter(
+                f"exponential loss exp({self.a} * x) overflows at x = {np.max(x)}"
+            ) from None
 
     def inverse_derivative_array(self, z: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore"):
@@ -465,6 +468,14 @@ class CappedInverse(Payoff):
             incr = max(raw - anchor, 0.0)
         return self.beta + min(incr, self.cap - self.beta)
 
+    def value_array(self, x: np.ndarray) -> np.ndarray:
+        """`value` at every element of x."""
+        anchor = self._anchor()
+        raw = self.loss.inverse_derivative_array(self.c * np.maximum(x, self.y))
+        with np.errstate(invalid="ignore"):
+            incr = np.where(raw == anchor, 0.0, raw - anchor)
+        return self.beta + np.clip(incr, 0.0, self.cap - self.beta)
+
     def breakpoints(self) -> list[float]:
         anchor = self._anchor()
         top = self.cap - self.beta + anchor if math.isfinite(anchor) else self.cap
@@ -542,44 +553,59 @@ def mix_payoffs(alpha: float, first: Payoff, second: Payoff, cap: float) -> Step
 # ---------------------------------------------------------------------------
 
 
-def _cell_overlaps(d: EmpiricalDiscrete, lo: float, hi: float) -> np.ndarray:
-    c = d.cell_bounds
-    return np.clip(np.minimum(c[1:], hi) - np.maximum(c[:-1], lo), 0.0, None)
+def _step_cells(d: PriceDensity, p: Payoff, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Levels of a step payoff and the quantile cuts of their cells in [lo, hi].
+
+    The payoff takes levels[j] for t in [cuts[j], cuts[j+1]); a cell starts
+    at P[phi < breakpoint], which is exact on atoms too.
+    """
+    pts = p.breakpoints()
+    levels = [p.value(0.0)] + [p.value(x) for x in pts]
+    cuts = [lo] + [min(max(float(d.cdf_left(x)), lo), hi) for x in pts] + [hi]
+    return np.asarray(levels), np.asarray(cuts)
+
+
+def _rise_levels(d: PriceDensity, p: CappedInverse, lo: float, hi: float) -> tuple[float, float]:
+    """Quantile levels in [lo, hi] between which a CappedInverse rises."""
+    lo_x, hi_x = p.rise_interval()
+    t1 = min(max(float(d.cdf(lo_x)), lo), hi)
+    t2 = min(max(float(d.cdf(hi_x)), t1), hi) if math.isfinite(hi_x) else hi
+    return t1, t2
 
 
 def _transform_integral(
     d: PriceDensity,
-    h: Callable[[float], float],
+    h: Callable[[np.ndarray], np.ndarray],
     payoff: Payoff,
     lo: float,
     hi: float,
-    extra_breaks: Sequence[float] = (),
-    tol: float = _QUAD_TOL,
 ) -> float:
-    """int_{lo}^{hi} h(f(q(t))) dt with f the payoff; exact for atoms/steps."""
-    if hi <= lo:
-        return 0.0
-    if isinstance(d, EmpiricalDiscrete):
-        widths = _cell_overlaps(d, lo, hi)
-        vals = np.asarray([h(payoff.value(v)) for v in d.values])
-        return float(np.dot(widths, vals))
-    t_breaks = [float(d.cdf(b)) for b in payoff.breakpoints()]
-    t_breaks += d.quantile_kink_levels()
-    t_breaks += list(extra_breaks)
-    return integrate_adaptive(
-        lambda t: h(payoff.value(d.quantile(t))),
-        lo,
-        hi,
-        tol=tol,
-        breakpoints=merged_breakpoints(t_breaks),
-    )
+    """int_{lo}^{hi} h(f(q(t))) dt with f the payoff and h vectorized.
+
+    An exact sum over the cells of a step payoff. A CappedInverse is flat
+    below and above its rising part, which runs on the density's rule.
+    h is evaluated only where the weight is positive, so an empty range
+    costs no evaluation.
+    """
+    if isinstance(payoff, CappedInverse):
+        t1, t2 = _rise_levels(d, payoff, lo, hi)
+        levels = np.asarray([payoff.beta, payoff.cap])
+        weights = np.asarray([t1 - lo, hi - t2])
+        if t2 > t1:
+            q, w = d.quantile_rule(t1, t2)
+            levels = np.concatenate([levels, payoff.value_array(q)])
+            weights = np.concatenate([weights, w])
+    elif isinstance(payoff, _STEP_PAYOFFS):
+        levels, cuts = _step_cells(d, payoff, lo, hi)
+        weights = np.diff(cuts)
+    else:
+        raise InvalidParameter(f"unsupported payoff type {type(payoff).__name__}")
+    used = weights > 0.0
+    return float(np.dot(h(levels[used]), weights[used]))
 
 
 def price(p: Payoff, d: PriceDensity) -> float:
     """E[phi f(phi)], the cost of the claim under the pricing density."""
-    if isinstance(d, EmpiricalDiscrete):
-        vals = np.asarray([p.value(v) for v in d.values])
-        return float(np.dot(np.asarray(d.probs) * np.asarray(d.values), vals))
     if isinstance(p, Constant):
         return p.level * d.mean()
     if isinstance(p, TwoStep):
@@ -590,19 +616,11 @@ def price(p: Payoff, d: PriceDensity) -> float:
         tails = [d.tail_capital(x) for x in p.points] + [0.0]
         return float(sum(l * (tails[j] - tails[j + 1]) for j, l in enumerate(p.levels)))
     if isinstance(p, CappedInverse):
-        lo_x, hi_x = p.rise_interval()
-        t1 = float(d.cdf(lo_x))
-        t2 = float(d.cdf(hi_x)) if math.isfinite(hi_x) else 1.0
+        t1, t2 = _rise_levels(d, p, 0.0, 1.0)
         low = p.beta * float(d.capital_integral(t1))
         top = p.cap * (d.mean() - float(d.capital_integral(t2)))
-        mid = integrate_adaptive(
-            lambda t: d.quantile(t) * p.value(d.quantile(t)),
-            t1,
-            t2,
-            tol=_QUAD_TOL,
-            breakpoints=merged_breakpoints(d.quantile_kink_levels()),
-        )
-        return low + mid + top
+        q, w = d.quantile_rule(t1, t2)
+        return low + float(np.dot(w, q * p.value_array(q))) + top
     raise InvalidParameter(f"unsupported payoff type {type(p).__name__}")
 
 
@@ -620,36 +638,18 @@ def avar_risk(lam: float, p: Payoff, d: PriceDensity) -> float:
 
 def quantile_risk(k: WeightFunction, p: Payoff, d: PriceDensity) -> float:
     """E[g_k(phi) f(phi)], equal to int k(t) q_{f(phi)}(t) dt."""
-    if isinstance(d, EmpiricalDiscrete):
-        c = d.cell_bounds
-        weights = k.gamma(c[1:]) - k.gamma(c[:-1])
-        vals = np.asarray([p.value(v) for v in d.values])
-        return float(np.dot(weights, vals))
+    if isinstance(p, Constant):
+        return p.level
     if isinstance(p, _STEP_PAYOFFS):
         # exact: sum of level * Gamma-mass over the payoff's quantile cells
-        if isinstance(p, Constant):
-            return p.level
-        pts = p.breakpoints()
-        levels = [p.value(x) for x in pts]
-        ts = [min(max(float(d.cdf_left(x)), 0.0), 1.0) for x in pts] + [1.0]
-        total = 0.0
-        for j, lvl in enumerate(levels):
-            total += lvl * (k.gamma(ts[j + 1]) - k.gamma(ts[j]))
-        return total
-    lo_x, hi_x = p.rise_interval() if isinstance(p, CappedInverse) else (0.0, math.inf)
-    t1 = float(d.cdf(lo_x))
-    t2 = float(d.cdf(hi_x)) if math.isfinite(hi_x) else 1.0
-    low = p.value(0.0) * k.gamma(t1)
-    top = p.max_level() * (1.0 - k.gamma(t2))
-    inner = [b for b in k.interior_thresholds() if t1 < b < t2]
-    mid = integrate_adaptive(
-        lambda t: k.value_at(min(t, 1.0)) * p.value(d.quantile(t)),
-        t1,
-        t2,
-        tol=_QUAD_TOL,
-        breakpoints=merged_breakpoints(inner, d.quantile_kink_levels()),
+        levels, cuts = _step_cells(d, p, 0.0, 1.0)
+        return float(np.dot(levels, np.diff(k.gamma(cuts))))
+    # k is constant between thresholds: one integral per piece
+    edges = k.thresholds + (1.0,)
+    return sum(
+        kj * _transform_integral(d, lambda v: v, p, a, b)
+        for kj, a, b in zip(k.values, edges[:-1], edges[1:])
     )
-    return low + mid + top
 
 
 def robust_risk(loss: LossFunction, lam: float, p: Payoff, d: PriceDensity) -> float:
@@ -661,7 +661,7 @@ def robust_risk(loss: LossFunction, lam: float, p: Payoff, d: PriceDensity) -> f
             "robust_risk needs a continuous, strictly increasing CDF; "
             "use the oracle for discrete models"
         )
-    return _transform_integral(d, loss.value, p, 1.0 - lam, 1.0) / lam
+    return _transform_integral(d, loss.value_array, p, 1.0 - lam, 1.0) / lam
 
 
 def shifted_risk(
@@ -686,7 +686,7 @@ def shifted_risk(
         raise InvalidParameter(f"x0 = {x0} is not interior to the loss range")
 
     def g(m: float) -> float:
-        val = _transform_integral(d, lambda v: loss.value(v - m), p, 1.0 - lam, 1.0) / lam
+        val = _transform_integral(d, lambda x: loss.value_array(x - m), p, 1.0 - lam, 1.0) / lam
         return val - x0
 
     lo = -bracket_extent
@@ -760,11 +760,12 @@ class QuantileTable:
         if any(b < a for a, b in zip(vv[:-1], vv[1:])):
             raise InvalidParameter("quantile table must be nondecreasing")
 
-    def value_at(self, t: float) -> float:
+    def value_at(self, t):
+        """q(t) at every element of t."""
         if self.kind == "linear":
-            return float(np.interp(t, self.levels, self.values))
-        j = int(np.clip(np.searchsorted(self.levels, t, side="right") - 1, 0, len(self.values) - 1))
-        return self.values[j]
+            return np.interp(t, self.levels, self.values)
+        j = np.clip(np.searchsorted(self.levels, t, side="right") - 1, 0, len(self.values) - 1)
+        return np.asarray(self.values)[j]
 
     @classmethod
     def from_empirical(cls, d: EmpiricalDiscrete) -> "QuantileTable":
@@ -778,18 +779,10 @@ def hardy_littlewood_bounds(qx: QuantileTable, qy: QuantileTable) -> tuple[float
     step/linear tables because the product is piecewise quadratic between
     the merged breakpoints.
     """
-    upper_breaks = merged_breakpoints(qx.levels, qy.levels)
-    upper = integrate_adaptive(
-        lambda t: qx.value_at(t) * qy.value_at(t), 0.0, 1.0, tol=1e-12, breakpoints=upper_breaks
-    )
-    lower_breaks = merged_breakpoints([1.0 - t for t in qx.levels], qy.levels)
-    lower = integrate_adaptive(
-        lambda t: qx.value_at(1.0 - t) * qy.value_at(t),
-        0.0,
-        1.0,
-        tol=1e-12,
-        breakpoints=lower_breaks,
-    )
+    t, w = gauss_legendre(merged_breakpoints(qx.levels, qy.levels))
+    upper = float(np.dot(w, qx.value_at(t) * qy.value_at(t)))
+    t, w = gauss_legendre(merged_breakpoints([1.0 - t for t in qx.levels], qy.levels))
+    lower = float(np.dot(w, qx.value_at(1.0 - t) * qy.value_at(t)))
     return lower, upper
 
 

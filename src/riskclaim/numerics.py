@@ -1,17 +1,19 @@
-"""Shared numeric kernel: bracketed roots, 1-D/2-D minimization, quadrature.
+"""Shared numeric kernel: bracketed roots, 1-D/2-D minimization, and the
+fixed-node Gauss-Legendre rule behind every quadrature in the package.
 
 Everything here is derivative-free on purpose: the objective functions fed
 in by the solvers have kinks where min/max caps activate, so secant steps
 are always guarded by bisection and minimization is scan + golden section
 or nested grids. Tie-breaks are leftmost (lexicographic in 2-D) so results
-are deterministic.
+are deterministic. Quadrature has no tolerance: callers cut the interval
+where the integrand has kinks, so each piece is smooth.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -276,66 +278,24 @@ def minimize_2d(
     return Minimize2D(bx, by, bf, flat, n_eval)
 
 
-def integrate_adaptive(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-10,
-    breakpoints: Iterable[float] = (),
-    max_subdivisions: int = 10**6,
-) -> float:
-    """Adaptive Simpson quadrature honoring supplied breakpoints.
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(64)
 
-    Each segment between breakpoints is refined until its Richardson error
-    estimate is below a width-proportional share of tol. Exact (to roundoff)
-    on integrands that are piecewise cubic between declared breakpoints.
+
+def gauss_legendre(cuts: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """64-node Gauss-Legendre rule on each piece between consecutive cuts.
+
+    Returns (nodes, weights) with int g = sum(weights * g(nodes)) over
+    [cuts[0], cuts[-1]], exact for g polynomial of degree <= 127 on each
+    piece. Nodes are interior, so a jump at a cut is never sampled.
     """
-    if hi < lo:
-        raise InvalidParameter("integrate_adaptive requires lo <= hi")
-    if hi == lo:
-        return 0.0
-    pts = sorted({lo, hi, *(float(b) for b in breakpoints if lo < b < hi)})
-    total_width = hi - lo
-    total = 0.0
-    budget = [max_subdivisions]
-    for a, b in zip(pts[:-1], pts[1:]):
-        total += _adaptive_simpson(f, a, b, tol * (b - a) / total_width, budget)
-    return total
-
-
-def _adaptive_simpson(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float,
-    budget: list[int],
-) -> float:
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    # stack frames: (a, fa, m, fm, b, fb, S, tol)
-    stack = [(a, fa, m, fm, b, fb, whole, tol)]
-    acc = 0.0
-    while stack:
-        a, fa, m, fm, b, fb, s, t = stack.pop()
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise NonConvergence("integrate_adaptive: subdivision cap exceeded")
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        delta = left + right - s
-        # the relative floor stops subdivision once roundoff dominates
-        accept = max(t, 5e-16 * (abs(left) + abs(right)))
-        if abs(delta) <= 15.0 * accept or (b - a) < 1e-14 * max(1.0, abs(m)):
-            acc += left + right + delta / 15.0
-        else:
-            stack.append((a, fa, lm, flm, m, fm, left, 0.5 * t))
-            stack.append((m, fm, rm, frm, b, fb, right, 0.5 * t))
-    return acc
+    if len(cuts) == 2:  # the common case, kept off the array path
+        a, b = cuts
+        half = 0.5 * (b - a)
+        return 0.5 * (a + b) + half * _GL_X, half * _GL_W
+    c = np.asarray(cuts, float)
+    half = 0.5 * np.diff(c)[:, None]
+    mid = 0.5 * (c[1:] + c[:-1])[:, None]
+    return (mid + half * _GL_X).ravel(), (half * _GL_W).ravel()
 
 
 def merged_breakpoints(*groups: Sequence[float]) -> list[float]:

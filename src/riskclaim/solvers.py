@@ -324,16 +324,13 @@ def solve_quantile_based(
 # ---------------------------------------------------------------------------
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
-
-
 class _RobustKernel:
     """Shared tail machinery for one (density, loss, lambda, cap) instance.
 
-    The middle integrals run over the region where the claim follows the
-    inverse marginal loss; the integrand there is smooth between quantile
-    kinks, so piecewise 64-node Gauss-Legendre is exact to roundoff and
-    keeps the nested root-finds cheap.
+    Where the claim follows the inverse marginal loss it is smooth in the
+    density value, so the price of that part is one sum on the density's
+    `quantile_rule`, exact to roundoff and cheap inside the nested
+    root-finds.
     """
 
     def __init__(self, d: PriceDensity, loss: LossFunction, lam: float, cap: float, tol: Tolerances):
@@ -344,7 +341,6 @@ class _RobustKernel:
         self.q_level = 1.0 - lam
         self.low_capital = float(d.capital_integral(self.q_level))  # E[phi; phi < q]
         self.tail_capital = d.mean() - self.low_capital
-        self.kinks = sorted(d.quantile_kink_levels())
         self._solved: dict[tuple[float, float], float] = {}
         self._last_c = 1.0
         self.inner_iterations = 0
@@ -357,26 +353,16 @@ class _RobustKernel:
         t2 = min(max(float(self.d.cdf(x2)), t1), 1.0)
         return t1, t2
 
-    def _mid_integral(self, beta: float, c: float, t1: float, t2: float, with_price: bool) -> float:
-        if t2 <= t1:
-            return 0.0
-        pieces = [t1] + [k for k in self.kinks if t1 < k < t2] + [t2]
-        total = 0.0
-        for a, b in zip(pieces[:-1], pieces[1:]):
-            half = 0.5 * (b - a)
-            ts = 0.5 * (a + b) + half * _GL_NODES
-            q = np.asarray(self.d.quantile(ts))
-            f = np.clip(self.loss.inverse_derivative_array(c * q), beta, self.cap)
-            integrand = q * f if with_price else self.loss.value_array(f)
-            total += half * float(np.dot(_GL_WEIGHTS, integrand))
-        return total
-
     def tail_price(self, beta: float, c: float) -> float:
         """E[phi f(phi); phi >= q] for f = beta v I(c phi) ^ cap."""
         t1, t2 = self._cut_levels(beta, c)
         low = beta * (float(self.d.capital_integral(t1)) - self.low_capital)
         top = self.cap * (self.d.mean() - float(self.d.capital_integral(t2)))
-        return low + self._mid_integral(beta, c, t1, t2, with_price=True) + top
+        if t2 <= t1:  # most probes of a low budget never reach the rising part
+            return low + top
+        q, w = self.d.quantile_rule(t1, t2)
+        f = np.clip(self.loss.inverse_derivative_array(c * q), beta, self.cap)
+        return low + float(np.dot(w, q * f)) + top
 
     def solve_c(self, beta: float, v: float) -> float:
         """Multiplier making the tail price hit v - beta * E[phi; phi < q].

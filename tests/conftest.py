@@ -6,6 +6,8 @@ convention; payoff generators produce increasing step claims in [0, cap].
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from riskclaim import (
@@ -77,3 +79,62 @@ def random_step_payoff(rng: np.random.Generator, cap: float = 1.0):
     points = np.cumsum(rng.uniform(0.05, 0.8, size=m))
     levels = np.sort(rng.uniform(0.0, cap, size=m))
     return StepVector(tuple(points.tolist()), tuple(levels.tolist()), cap)
+
+
+def random_tail_density(rng: np.random.Generator) -> PiecewiseLinearQuantile:
+    """2 to 4 knots up to a level in [0.8, 0.95], then an exponential tail."""
+    n_knots = int(rng.integers(2, 5))
+    top = float(rng.uniform(0.8, 0.95))
+    levels = np.concatenate([[0.0], np.sort(rng.uniform(0.05, top - 0.03, size=n_knots - 2)), [top]])
+    values = rng.uniform(0.0, 0.3) + np.concatenate(
+        [[0.0], np.cumsum(rng.uniform(0.05, 1.0, size=n_knots - 1))]
+    )
+    raw = PiecewiseLinearQuantile(
+        tuple(levels.tolist()), tuple(values.tolist()), float(rng.uniform(0.1, 0.5))
+    )
+    return scaled_to_mean_one(raw)
+
+
+def scaled_to_mean_one(d: PiecewiseLinearQuantile) -> PiecewiseLinearQuantile:
+    """The mean is linear in (values, tail_theta) jointly: one scale normalizes it."""
+    m = d.mean()
+    theta = None if d.tail_theta is None else d.tail_theta / m
+    return PiecewiseLinearQuantile(d.levels, tuple(q / m for q in d.values), theta)
+
+
+def quad_price(payoff, d: PiecewiseLinearQuantile) -> float:
+    """E[phi f(phi)] by scipy quad in density space, independent of quantile space.
+
+    Between knots phi is uniform with density dt/dq; in the exponential tail
+    its density is (1 - t_m)/theta * exp(-(x - q_m)/theta). Every piece is
+    cut at the payoff's breakpoints.
+    """
+    from scipy.integrate import quad
+
+    g = lambda x: x * payoff.value(x)
+    breaks = payoff.breakpoints()
+
+    def pieces(a: float, b: float) -> list[tuple[float, float]]:
+        cuts = [a] + sorted(x for x in breaks if a < x < b) + [b]
+        return list(zip(cuts[:-1], cuts[1:]))
+
+    total = 0.0
+    knots = list(zip(d.levels, d.values))
+    for (t0, q0), (t1, q1) in zip(knots[:-1], knots[1:]):
+        for a, b in pieces(q0, q1):
+            total += quad(g, a, b, epsabs=1e-15, epsrel=1e-13, limit=200)[0] * (t1 - t0) / (q1 - q0)
+    if d.tail_theta is not None:
+        tm, qm, theta = d.levels[-1], d.values[-1], d.tail_theta
+        dens = lambda x: g(x) * (1.0 - tm) / theta * math.exp(-(x - qm) / theta)
+        cuts = [qm] + sorted(x for x in breaks if x > qm)
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            total += quad(dens, a, b, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+        total += quad(dens, cuts[-1], math.inf, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+    return total
+
+
+def found_tail_density() -> PiecewiseLinearQuantile:
+    """A plq density with an exponential tail on which the robust solver once
+    missed its budget by 4.7e-6 (the rule then ran in t up to t -> 1)."""
+    raw = PiecewiseLinearQuantile((0.0, 0.1074, 0.8553), (0.2330, 0.4917, 1.3404), 0.5666)
+    return scaled_to_mean_one(raw)

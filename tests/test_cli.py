@@ -358,6 +358,17 @@ class TestConfigFile:
         assert code == 0
         assert json.loads(out)["risk"] == pytest.approx((1 - math.sqrt(0.5)) / 0.75, abs=1e-6)
 
+    def test_explicit_flag_at_its_default_wins(self, tmp_path, capsys):
+        cfg = tmp_path / "cap.json"
+        cfg.write_text(json.dumps({"cap": 2.0}))
+        code, out, _ = run(
+            ["solve", "--config", str(cfg), "--cap", "1", "--measure", "avar:0.75",
+             "--density", "uniform:0,2", "--v", "0.5"],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out)["cap"] == 1.0
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"nonsense": 1}))

@@ -170,6 +170,40 @@ class TestExponentialTail:
             assert d.capital_integral(x) == pytest.approx(approx, abs=1e-6)
 
 
+class TestQuantileRule:
+    """sum w * q reproduces the closed-form capital integral Phi(hi) - Phi(lo)."""
+
+    TAIL = PiecewiseLinearQuantile((0.0, 0.3, 0.8), (0.2, 0.6, 1.1), tail_theta=0.3)
+
+    def assert_exact(self, d, lo, hi):
+        q, w = d.quantile_rule(lo, hi)
+        assert np.all(np.isfinite(q)) and np.all(np.isfinite(w))
+        exact = float(d.capital_integral(hi)) - float(d.capital_integral(lo))
+        assert abs(float(np.dot(w, q)) - exact) <= 1e-14
+
+    def test_uniform(self):
+        for lo, hi in [(0.0, 1.0), (0.2, 0.7), (0.9, 1.0)]:
+            self.assert_exact(Uniform(0.4, 1.6), lo, hi)
+
+    def test_bounded_plq(self):
+        d = PiecewiseLinearQuantile((0.0, 0.2, 0.65, 1.0), (0.1, 0.5, 1.1, 2.3))
+        for lo, hi in [(0.0, 1.0), (0.1, 0.3), (0.2, 0.65), (0.5, 0.99)]:
+            self.assert_exact(d, lo, hi)
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(0.1, 0.7), (0.2, 0.95), (0.85, 0.99), (0.0, 1.0 - 1e-12), (0.5, 1.0), (0.9, 1.0)],
+        ids=["below", "across", "inside", "to-1e-12", "across-to-1", "inside-to-1"],
+    )
+    def test_plq_tail(self, lo, hi):
+        self.assert_exact(self.TAIL, lo, hi)
+
+    def test_atoms(self):
+        d = EmpiricalDiscrete((0.5, 1.0, 1.5), (0.25, 0.5, 0.25))
+        for lo, hi in [(0.0, 1.0), (0.1, 0.8), (0.25, 0.75), (0.3, 0.3)]:
+            self.assert_exact(d, lo, hi)
+
+
 @given(st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
 def test_quantile_monotone(seed):

@@ -40,6 +40,8 @@ from riskclaim import (
 )
 
 from conftest import (
+    found_tail_density,
+    quad_price,
     random_continuous_density,
     random_discrete_density,
     random_step_payoff,
@@ -129,6 +131,14 @@ class TestPrice:
         approx = float(np.trapezoid(qs * vals, ts))
         assert price(payoff, UNIF) == pytest.approx(approx, abs=1e-6)
 
+    def test_capped_inverse_capped_beyond_float_cdf(self):
+        # the cap starts at x_top ~ 36, where cdf(x_top) rounds to 1 and q(1) = inf
+        d = found_tail_density()
+        loss = Exponential(1.799)
+        payoff = CappedInverse(0.1, 0.3, loss.derivative(0.1) / 0.3, 1.0, loss)
+        assert d.cdf(payoff.breakpoints()[-1]) == 1.0
+        assert abs(price(payoff, d) - quad_price(payoff, d)) <= 1e-12
+
 
 class TestAVaR:
     def test_constant(self):
@@ -205,6 +215,10 @@ class TestRobustRisk:
     def test_discrete_rejected(self):
         with pytest.raises(UnsupportedDensity):
             robust_risk(Power(2.0), 0.5, Constant(0.3), TWO_ATOMS)
+
+    def test_overflowing_loss_is_invalid_parameter(self):
+        with pytest.raises(InvalidParameter):
+            robust_risk(Exponential(1.0), 0.5, Constant(800.0), UNIF)
 
 
 class TestShiftedRisk:
@@ -402,6 +416,10 @@ class TestLosses:
             for z, v in zip(zs, vv):
                 assert v == pytest.approx(loss.value(float(z)), abs=1e-12)
 
+    def test_exponential_value_array_overflow(self):
+        with pytest.raises(InvalidParameter):
+            Exponential(2.0).value_array(np.asarray([0.5, 400.0]))
+
 
 class TestPayoffs:
     def test_two_step_shape(self):
@@ -427,6 +445,15 @@ class TestPayoffs:
         assert p.value(0.0) == 0.0
         assert p.value(1.0) == pytest.approx(0.375)
         assert p.value(4.0) == 1.0
+
+    def test_capped_inverse_value_array_matches_value(self):
+        xs = np.asarray([0.0, 0.3, 0.9, 1.2, 1.9, 40.0, math.inf])
+        for p in [
+            CappedInverse(0.25, 1.4, Exponential(1.0).derivative(0.25) / 1.4, 1.0, Exponential(1.0)),
+            CappedInverse(0.0, 0.75, 0.0, 1.0, Power(2.0)),
+            CappedInverse(0.0, 0.75, 0.0, 1.0, Exponential(1.0)),  # anchor I(0) = -inf
+        ]:
+            assert p.value_array(xs) == pytest.approx([p.value(float(x)) for x in xs], abs=1e-15)
 
     def test_serialization_roundtrip(self):
         payoffs = [

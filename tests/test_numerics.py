@@ -9,14 +9,13 @@ from riskclaim import (
     Bracket,
     InvalidParameter,
     NoBracket,
-    NonConvergence,
     Uniform,
     geometric_bracket,
-    integrate_adaptive,
     minimize_1d,
     minimize_2d,
     root_bracketed,
 )
+from riskclaim.numerics import gauss_legendre
 
 
 class TestBracket:
@@ -133,30 +132,22 @@ class TestMinimize2D:
         assert (res.x, res.y) == pytest.approx((1.0, 2.0), abs=1e-12)
 
 
-class TestIntegrateAdaptive:
-    def test_linear(self):
-        assert integrate_adaptive(lambda t: 2.0 * t, 0.0, 1.0, tol=1e-12) == pytest.approx(1.0)
+class TestGaussLegendre:
+    def test_exact_on_degree_127(self):
+        t, w = gauss_legendre([0.2, 1.3])
+        exact = (1.3**128 - 0.2**128) / 128.0
+        assert np.dot(w, t**127) == pytest.approx(exact, rel=1e-13)
 
-    def test_step_integrand_with_breakpoints(self):
-        # quantile of a two-step claim: 0.6 on [0.25, 0.5), 1 on [0.5, 1)
-        f = lambda t: 0.6 if t < 0.5 else 1.0
-        val = integrate_adaptive(f, 0.25, 1.0, tol=1e-12, breakpoints=[0.5])
-        assert val == pytest.approx(0.65, abs=1e-14)
+    def test_pieces_integrate_a_kinked_function_exactly(self):
+        # |t - 0.4| has its kink on a cut, so every piece is a polynomial
+        t, w = gauss_legendre([0.0, 0.4, 1.0])
+        assert np.dot(w, np.abs(t - 0.4)) == pytest.approx(0.08 + 0.18, abs=1e-15)
 
-    def test_zero(self):
-        assert integrate_adaptive(lambda t: 0.0, 0.0, 1.0) == 0.0
-
-    def test_exact_on_piecewise_linear(self):
-        f = lambda t: 3.0 * t if t < 0.4 else 1.2 + 0.5 * (t - 0.4)
-        val = integrate_adaptive(f, 0.0, 1.0, tol=1e-10, breakpoints=[0.4])
-        exact = 0.5 * 3.0 * 0.16 + 1.2 * 0.6 + 0.5 * 0.5 * 0.36
-        assert val == pytest.approx(exact, abs=1e-14)
-
-    def test_smooth_integrand(self):
-        val = integrate_adaptive(math.exp, 0.0, 1.0, tol=1e-12)
-        assert val == pytest.approx(math.e - 1.0, abs=1e-11)
-
-    def test_subdivision_cap(self):
-        wild = lambda t: math.sin(1.0 / (t + 1e-9)) / (t + 1e-9)
-        with pytest.raises(NonConvergence):
-            integrate_adaptive(wild, 0.0, 1.0, tol=1e-14, max_subdivisions=50)
+    def test_nodes_interior_and_weights_sum_to_width(self):
+        cuts = [0.1, 0.25, 0.25000001, 0.9]
+        t, w = gauss_legendre(cuts)
+        assert len(t) == len(w) == 64 * 3
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            inside = (t > a) & (t < b)
+            assert inside.sum() == 64
+            assert w[inside].sum() == pytest.approx(b - a, rel=1e-14)

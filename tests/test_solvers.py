@@ -40,7 +40,12 @@ from riskclaim import (
 )
 from riskclaim.solvers import DEFAULT_TOLERANCES, _RobustKernel
 
-from conftest import random_continuous_density
+from conftest import (
+    found_tail_density,
+    quad_price,
+    random_continuous_density,
+    random_tail_density,
+)
 
 UNIF = Uniform(0.0, 2.0)
 
@@ -463,6 +468,25 @@ class TestUnboundedDensity:
         s = solve_quantile_based(self.d, k, 0.8)
         inst = DiscreteInstance(discretize(self.d, 1000), 0.8, 1.0)
         assert abs(s.risk - oracle_quantile_based(inst, k).risk) <= 2e-3
+
+
+class TestTailDensityBudget:
+    """The rising part of a robust claim can reach deep into an exponential
+    tail; its price is checked by quadrature in density space."""
+
+    def test_claim_rising_deep_into_the_tail(self):
+        d = found_tail_density()
+        s = solve_robust_utility(d, Exponential(1.799), 0.4718, 0.1646)
+        assert abs(quad_price(s.payoff, d) - 0.1646) <= 1e-10
+
+    @pytest.mark.parametrize("seed", range(12, 18))
+    def test_seeded_tail_densities(self, seed):
+        rng = np.random.default_rng([seed, 99])
+        d = random_tail_density(rng)
+        loss = Exponential(rng.uniform(0.5, 2.0)) if seed % 2 == 0 else Power(rng.uniform(1.5, 3.0))
+        lam, v = float(rng.uniform(0.3, 0.9)), float(rng.uniform(0.05, 0.95))
+        s = solve_robust_utility(d, loss, lam, v)
+        assert abs(quad_price(s.payoff, d) - v) <= 1e-9
 
 
 class TestSolverInvariants:
