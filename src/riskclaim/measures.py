@@ -28,8 +28,8 @@ from typing import Callable, Union
 import numpy as np
 
 from .densities import EmpiricalDiscrete, PriceDensity
-from .errors import BracketFailure, ConfigError, InvalidParameter, UnsupportedDensity
-from .numerics import Bracket, gauss_legendre, merged_breakpoints, root_bracketed
+from .errors import ConfigError, InvalidParameter, UnsupportedDensity
+from .numerics import gauss_legendre, merged_breakpoints
 
 WEIGHT_INTEGRAL_TOL = 1e-12
 
@@ -573,19 +573,13 @@ def _rise_levels(d: PriceDensity, p: CappedInverse, lo: float, hi: float) -> tup
     return t1, t2
 
 
-def _transform_integral(
-    d: PriceDensity,
-    h: Callable[[np.ndarray], np.ndarray],
-    payoff: Payoff,
-    lo: float,
-    hi: float,
-) -> float:
-    """int_{lo}^{hi} h(f(q(t))) dt with f the payoff and h vectorized.
+def _quantile_levels(
+    d: PriceDensity, payoff: Payoff, lo: float, hi: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Levels of f(q(t)) on [lo, hi] and their positive weights in t.
 
-    An exact sum over the cells of a step payoff. A CappedInverse is flat
-    below and above its rising part, which runs on the density's rule.
-    h is evaluated only where the weight is positive, so an empty range
-    costs no evaluation.
+    The cells of a step payoff, exactly. A CappedInverse is flat below and
+    above its rising part, which runs on the density's rule.
     """
     if isinstance(payoff, CappedInverse):
         t1, t2 = _rise_levels(d, payoff, lo, hi)
@@ -601,7 +595,23 @@ def _transform_integral(
     else:
         raise InvalidParameter(f"unsupported payoff type {type(payoff).__name__}")
     used = weights > 0.0
-    return float(np.dot(h(levels[used]), weights[used]))
+    return levels[used], weights[used]
+
+
+def _transform_integral(
+    d: PriceDensity,
+    h: Callable[[np.ndarray], np.ndarray],
+    payoff: Payoff,
+    lo: float,
+    hi: float,
+) -> float:
+    """int_{lo}^{hi} h(f(q(t))) dt with f the payoff and h vectorized.
+
+    h is evaluated only where the weight is positive, so an empty range
+    costs no evaluation.
+    """
+    levels, weights = _quantile_levels(d, payoff, lo, hi)
+    return float(np.dot(h(levels), weights))
 
 
 def price(p: Payoff, d: PriceDensity) -> float:
@@ -664,40 +674,31 @@ def robust_risk(loss: LossFunction, lam: float, p: Payoff, d: PriceDensity) -> f
     return _transform_integral(d, loss.value_array, p, 1.0 - lam, 1.0) / lam
 
 
-def shifted_risk(
-    loss: LossFunction,
-    lam: float,
-    x0: float,
-    p: Payoff,
-    d: PriceDensity,
-    bracket_extent: float = 50.0,
-) -> float:
+def shifted_risk(loss: LossFunction, lam: float, x0: float, p: Payoff, d: PriceDensity) -> float:
     """Smallest m with worst-case E[loss(X - m)] <= x0.
 
-    Solves (1/lam) * int_{1-lam}^1 loss(f(q(t)) - m) dt = x0 for m by
-    bracketed root-finding; the integrand is exact on discrete models too,
-    so oracle step-vector payoffs can be scored with the same code path.
+    Every loss on the reals is l(x) = exp(a(x - s)), an `Exponential`,
+    possibly `Shifted` by s, so the shift factors out of
+    (1/lam) * int_{1-lam}^1 l(f(q(t)) - m) dt = x0, giving
+    m = M - s + (1/a) log((1/lam) int exp(a(f(q(t)) - M)) dt / x0)
+    with M the largest level of f on the tail: no exponential exceeds 1 and
+    the integral is at least M's weight. Exact on discrete models too, so
+    oracle step-vector payoffs are scored by the same code path.
     """
     if not 0.0 < lam <= 1.0:
         raise InvalidParameter(f"lambda must lie in (0, 1], got {lam}")
-    if not loss.defined_on_reals:
-        raise InvalidParameter("shifted risk needs a loss defined on all reals")
     if not loss.interior_contains(x0):
         raise InvalidParameter(f"x0 = {x0} is not interior to the loss range")
-
-    def g(m: float) -> float:
-        val = _transform_integral(d, lambda x: loss.value_array(x - m), p, 1.0 - lam, 1.0) / lam
-        return val - x0
-
-    lo = -bracket_extent
-    hi = p.max_level() + bracket_extent
-    glo, ghi = g(lo), g(hi)
-    if glo < 0.0 or ghi > 0.0:
-        raise BracketFailure(
-            f"no root of the certainty-equivalent equation in [{lo}, {hi}]: "
-            f"g(lo)={glo:.3e}, g(hi)={ghi:.3e}"
-        )
-    return root_bracketed(g, Bracket(lo, hi), tol=1e-10)
+    shift = 0.0
+    while isinstance(loss, Shifted):
+        shift += loss.shift
+        loss = loss.base
+    if not isinstance(loss, Exponential):
+        raise InvalidParameter("shifted risk needs a loss defined on all reals")
+    levels, weights = _quantile_levels(d, p, 1.0 - lam, 1.0)
+    top = float(np.max(levels))
+    tail_mean = float(np.dot(np.exp(loss.a * (levels - top)), weights)) / lam
+    return top - shift + math.log(tail_mean / x0) / loss.a
 
 
 def var_risk(lam: float, p: Payoff, d: PriceDensity) -> float:

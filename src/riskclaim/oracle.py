@@ -1,9 +1,10 @@
 """Independent brute-force solvers on discretized densities.
 
 Nothing here consults the closed-form machinery: the two-step search rests
-only on prefix sums of the atoms, and the convex search solves its own
-Lagrangian subproblems with a pool-adjacent-violators fit. That keeps the
-oracle usable as ground truth for the solvers module.
+only on prefix sums of the atoms, and the convex search pools the atoms once
+by a pool-adjacent-violators pass on their ratios, then bisects on the
+Lagrange multiplier over the pooled blocks. That keeps the oracle usable as
+ground truth for the solvers module.
 
 The two-step enumeration is justified by the structure of the feasible set:
 the extreme points of {increasing f, 0 <= f <= 1, E[phi f(phi)] = v} are
@@ -167,46 +168,37 @@ def oracle_robust(
     loss: LossFunction,
     lam: float,
     budget_tol: float = BUDGET_TOL,
-    max_iter: int = 100_000,
 ) -> OracleRobustResult:
     """Exact minimizer of sum_i w_i loss(x_i) over the monotone box with a
     linear budget.
 
     The Lagrangian subproblem min sum_i [w_i loss(x_i) - theta a_i x_i] over
-    0 <= x_1 <= ... <= x_n <= cap separates into convex per-coordinate costs,
-    so a pool-adjacent-violators pass with per-block minimizers solves it
-    exactly; the budget is then matched by bisection on theta, which is
-    monotone. Stationarity is reported as the largest per-block KKT residual.
+    0 <= x_1 <= ... <= x_n <= cap separates into convex per-coordinate costs.
+    A pooled block takes clip(I(theta * sa/sw), 0, cap), nondecreasing in its
+    ratio sa/sw for every theta > 0, so the pooling is the weighted isotonic
+    regression of a_i/w_i, computed once; the budget is then matched by
+    bisection on theta, which is monotone. Stationarity is reported as the
+    largest per-block KKT residual.
     """
     d = inst.density
     w = tail_weights(d, lam)
     a = np.asarray(d.probs) * np.asarray(d.values)
     cap = inst.cap
     v = inst.budget
+    sw, sa, counts = _pool_ratios(w, a)
+    weighted = sw > 0.0
+    sw_safe = np.where(weighted, sw, 1.0)
 
-    def block_value(sw: float, sa: float, theta: float) -> float:
-        if sw <= 0.0:
-            return cap if theta > 0.0 else 0.0
-        val = loss.inverse_derivative(theta * sa / sw)
-        if val == -math.inf:
-            return 0.0
-        if val == math.inf:
-            return cap
-        return min(max(val, 0.0), cap)
+    def block_levels(theta: float) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            val = loss.inverse_derivative_array(theta * sa / sw_safe)
+        return np.where(weighted, np.clip(val, 0.0, cap), cap if theta > 0.0 else 0.0)
 
-    def monotone_fit(theta: float) -> np.ndarray:
-        blocks: list[list[float]] = []  # [sum_w, sum_a, count, value]
-        for wi, ai in zip(w, a):
-            blocks.append([wi, ai, 1.0, block_value(wi, ai, theta)])
-            while len(blocks) >= 2 and blocks[-2][3] > blocks[-1][3]:
-                sw = blocks[-2][0] + blocks[-1][0]
-                sa = blocks[-2][1] + blocks[-1][1]
-                cnt = blocks[-2][2] + blocks[-1][2]
-                blocks[-2:] = [[sw, sa, cnt, block_value(sw, sa, theta)]]
-        return np.repeat([b[3] for b in blocks], [int(b[2]) for b in blocks])
+    def atom_levels(theta: float) -> np.ndarray:
+        return np.repeat(block_levels(theta), counts)
 
     def budget(theta: float) -> float:
-        return float(np.dot(a, monotone_fit(theta)))
+        return float(np.dot(sa, block_levels(theta)))
 
     iterations = 0
     max_budget = cap * float(np.sum(a))
@@ -224,24 +216,22 @@ def oracle_robust(
         lo = 0.0
         for _ in range(200):
             iterations += 1
-            if iterations > max_iter:
-                raise NonConvergence("oracle_robust iteration cap exceeded")
             mid = 0.5 * (lo + hi)
             if budget(mid) < v:
                 lo = mid
             else:
                 hi = mid
         theta = hi
-        x = monotone_fit(theta)
+        x = atom_levels(theta)
         if abs(float(np.dot(a, x)) - v) > budget_tol:
             # land exactly on the budget by blending the bracketing fits
-            x_lo = monotone_fit(lo)
+            x_lo = atom_levels(lo)
             b_lo, b_cur = float(np.dot(a, x_lo)), float(np.dot(a, x))
             if b_cur > b_lo:
                 t = (v - b_lo) / (b_cur - b_lo)
                 x = (1.0 - t) * x_lo + t * x
     x = np.maximum.accumulate(np.clip(x, 0.0, cap))
-    risk = float(np.dot(w, [loss.value(float(xi)) for xi in x]))
+    risk = float(np.dot(w, loss.value_array(x)))
     reached = float(np.dot(a, x))
     stationarity = _kkt_residual(x, w, a, loss, theta, cap)
     payoff = StepVector(d.values, tuple(float(t) for t in x), cap)
@@ -250,24 +240,40 @@ def oracle_robust(
     )
 
 
+def _pool_ratios(w: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Blocks (sum w, sum a, atom count) of the weighted isotonic regression
+    of a_i/w_i with weights w_i, by pool-adjacent-violators.
+
+    Ratios are compared by cross-multiplication, so an atom with w_i = 0
+    (below the tail) has ratio +inf without a division.
+    """
+    blocks: list[list[float]] = []  # [sum_w, sum_a, count]
+    for wi, ai in zip(w.tolist(), a.tolist()):
+        blocks.append([wi, ai, 1])
+        while len(blocks) >= 2 and blocks[-2][1] * blocks[-1][0] > blocks[-1][1] * blocks[-2][0]:
+            last = blocks.pop()
+            prev = blocks[-1]
+            prev[0] += last[0]
+            prev[1] += last[1]
+            prev[2] += last[2]
+    sw, sa, counts = zip(*blocks)
+    return np.asarray(sw), np.asarray(sa), np.asarray(counts)
+
+
 def _kkt_residual(
     x: np.ndarray, w: np.ndarray, a: np.ndarray, loss: LossFunction, theta: float, cap: float
 ) -> float:
     """Largest block-summed gradient of the Lagrangian over free blocks."""
     if not math.isfinite(theta):
         return 0.0
-    n = len(x)
-    worst = 0.0
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and x[j + 1] == x[i]:
-            j += 1
-        if 0.0 < x[i] < cap:
-            grad = sum(w[t] * loss.derivative(float(x[i])) - theta * a[t] for t in range(i, j + 1))
-            worst = max(worst, abs(grad))
-        i = j + 1
-    return worst
+    starts = np.flatnonzero(np.concatenate([[True], x[1:] != x[:-1]]))
+    level = x[starts]
+    free = (level > 0.0) & (level < cap)
+    if not np.any(free):
+        return 0.0
+    deriv = np.asarray([loss.derivative(float(t)) for t in level[free]])
+    grad = np.add.reduceat(w, starts)[free] * deriv - theta * np.add.reduceat(a, starts)[free]
+    return float(np.max(np.abs(grad)))
 
 
 def oracle_avar_dual(inst: DiscreteInstance, lam: float, levels: Sequence[float]) -> float:

@@ -1,4 +1,4 @@
-"""Shared generators for randomized tests.
+"""Shared generators for randomized tests, and a reference robust oracle.
 
 Densities are always normalized to mean 1 so they satisfy the pricing
 convention; payoff generators produce increasing step claims in [0, cap].
@@ -12,7 +12,9 @@ import numpy as np
 
 from riskclaim import (
     Constant,
+    DiscreteInstance,
     EmpiricalDiscrete,
+    NonConvergence,
     PiecewiseLinearQuantile,
     StepVector,
     TwoStep,
@@ -21,6 +23,8 @@ from riskclaim import (
     avar_weight,
     two_level_weight,
 )
+from riskclaim.measures import LossFunction
+from riskclaim.oracle import OracleRobustResult, tail_weights
 
 
 def random_uniform_density(rng: np.random.Generator) -> Uniform:
@@ -138,3 +142,87 @@ def found_tail_density() -> PiecewiseLinearQuantile:
     missed its budget by 4.7e-6 (the rule then ran in t up to t -> 1)."""
     raw = PiecewiseLinearQuantile((0.0, 0.1074, 0.8553), (0.2330, 0.4917, 1.3404), 0.5666)
     return scaled_to_mean_one(raw)
+
+
+def reference_oracle_robust(
+    inst: DiscreteInstance, loss: LossFunction, lam: float, budget_tol: float = 1e-9
+) -> OracleRobustResult:
+    """The robust oracle with a fresh scalar pool-adjacent-violators pass at
+    every multiplier, pooling on clipped block values: the reference that the
+    pool-once oracle must reproduce."""
+    d = inst.density
+    w = tail_weights(d, lam)
+    a = np.asarray(d.probs) * np.asarray(d.values)
+    cap = inst.cap
+    v = inst.budget
+
+    def block_value(sw: float, sa: float, theta: float) -> float:
+        if sw <= 0.0:
+            return cap if theta > 0.0 else 0.0
+        val = loss.inverse_derivative(theta * sa / sw)
+        if val == -math.inf:
+            return 0.0
+        if val == math.inf:
+            return cap
+        return min(max(val, 0.0), cap)
+
+    def monotone_fit(theta: float) -> np.ndarray:
+        blocks: list[list[float]] = []  # [sum_w, sum_a, count, value]
+        for wi, ai in zip(w, a):
+            blocks.append([wi, ai, 1.0, block_value(wi, ai, theta)])
+            while len(blocks) >= 2 and blocks[-2][3] > blocks[-1][3]:
+                sw = blocks[-2][0] + blocks[-1][0]
+                sa = blocks[-2][1] + blocks[-1][1]
+                cnt = blocks[-2][2] + blocks[-1][2]
+                blocks[-2:] = [[sw, sa, cnt, block_value(sw, sa, theta)]]
+        return np.repeat([b[3] for b in blocks], [int(b[2]) for b in blocks])
+
+    def budget(theta: float) -> float:
+        return float(np.dot(a, monotone_fit(theta)))
+
+    iterations = 0
+    if v >= cap * float(np.sum(a)) - budget_tol:
+        theta = math.inf
+        x = np.full(d.n_atoms, cap)
+    else:
+        hi, b_hi = 1.0, budget(1.0)
+        while b_hi < v:
+            hi *= 4.0
+            b_hi = budget(hi)
+            iterations += 1
+            if hi > 1e18:
+                raise NonConvergence("budget not reachable within the multiplier range")
+        lo = 0.0
+        for _ in range(200):
+            iterations += 1
+            mid = 0.5 * (lo + hi)
+            if budget(mid) < v:
+                lo = mid
+            else:
+                hi = mid
+        theta = hi
+        x = monotone_fit(theta)
+        if abs(float(np.dot(a, x)) - v) > budget_tol:
+            x_lo = monotone_fit(lo)
+            b_lo, b_cur = float(np.dot(a, x_lo)), float(np.dot(a, x))
+            if b_cur > b_lo:
+                t = (v - b_lo) / (b_cur - b_lo)
+                x = (1.0 - t) * x_lo + t * x
+    x = np.maximum.accumulate(np.clip(x, 0.0, cap))
+    risk = float(np.dot(w, [loss.value(float(xi)) for xi in x]))
+    stationarity = 0.0
+    if math.isfinite(theta):
+        i = 0
+        while i < len(x):
+            j = i
+            while j + 1 < len(x) and x[j + 1] == x[i]:
+                j += 1
+            if 0.0 < x[i] < cap:
+                grad = sum(w[t] * loss.derivative(float(x[i])) - theta * a[t] for t in range(i, j + 1))
+                stationarity = max(stationarity, abs(grad))
+            i = j + 1
+    levels = tuple(float(t) for t in x)
+    payoff = StepVector(d.values, levels, cap)
+    return OracleRobustResult(
+        risk, payoff, levels, theta, float(np.dot(a, x)), iterations, stationarity
+    )

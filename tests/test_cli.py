@@ -63,6 +63,15 @@ class TestSolve:
             capsys,
         )
 
+    def test_steep_shifted_loss_does_not_overflow(self, capsys):
+        # ess sup phi = 1/lam: the constant claim v is optimal, so R = v
+        code, out, _ = run(
+            ["solve", "--measure", "shifted:exp:20:0.5:1", "--density", "uniform:0,2", "--v", "0.3"],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out)["risk"] == pytest.approx(0.3, abs=1e-9)
+
     def test_rho_k_clipped_level_roundtrip_reevaluation(self, tmp_path, capsys):
         # the optimum sits in the classical regime with its middle level clipped to 0
         density = (

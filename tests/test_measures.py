@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskclaim import (
-    BracketFailure,
     CappedInverse,
     Constant,
     EmpiricalDiscrete,
@@ -240,11 +239,6 @@ class TestShiftedRisk:
         loss = Exponential(1.0)
         got = shifted_risk(loss, 0.5, 1.0, Constant(0.25), TWO_ATOMS)
         assert got == pytest.approx(0.25, abs=1e-9)
-
-    def test_bracket_failure(self):
-        # root would be 0.3 - log(5) ~ -1.31, outside the narrowed bracket
-        with pytest.raises(BracketFailure):
-            shifted_risk(Exponential(1.0), 0.5, 5.0, Constant(0.3), UNIF, bracket_extent=0.01)
 
     def test_needs_real_domain(self):
         with pytest.raises(InvalidParameter):

@@ -19,7 +19,14 @@ from riskclaim import (
     verification_report,
 )
 
-from conftest import random_discrete_density, random_weight
+from conftest import (
+    random_discrete_density,
+    random_plq_density,
+    random_tail_density,
+    random_uniform_density,
+    random_weight,
+    reference_oracle_robust,
+)
 
 UNIF = Uniform(0.0, 2.0)
 
@@ -123,6 +130,43 @@ class TestOracleRobust:
         assert x[0] > 0.0  # flat positive initial segment
         head = x[: len(x) // 4]
         assert np.allclose(head, head[0], atol=1e-9)
+
+
+def _reference_cases() -> list:
+    """Seeded instances at n <= 200: every density family, cap, lambda and loss."""
+    rng = np.random.default_rng(20)
+    families = {
+        "uniform": lambda: discretize(random_uniform_density(rng), 200),
+        "plq": lambda: discretize(random_plq_density(rng), 120),
+        "tail": lambda: discretize(random_tail_density(rng), 200),
+        "atoms": lambda: random_discrete_density(rng, 50),  # unequal cells straddle 1 - lam
+    }
+    cases = []
+    for name, make in families.items():
+        for i, lam in enumerate((0.05, 0.5, 1.0)):
+            losses = (Exponential(float(rng.uniform(0.5, 2.0))), Power(float(rng.uniform(1.5, 3.0))))
+            for j, loss in enumerate(losses):
+                cap = (1.0, 2.5)[(i + j) % 2]
+                v = cap * float(rng.uniform(0.05, 0.95))
+                case = f"{name}-lam{lam}-{type(loss).__name__}-cap{cap}"
+                cases.append(pytest.param(make(), v, cap, lam, loss, id=case))
+    cases.append(pytest.param(discretize(UNIF, 60), 2.5, 2.5, 0.5, Exponential(1.0), id="max-budget"))
+    return cases
+
+
+class TestOracleRobustMatchesReference:
+    @pytest.mark.parametrize("atoms, v, cap, lam, loss", _reference_cases())
+    def test_matches_per_theta_pava(self, atoms, v, cap, lam, loss):
+        inst = DiscreteInstance(atoms, v, cap)
+        got = oracle_robust(inst, loss, lam)
+        ref = reference_oracle_robust(inst, loss, lam)
+        close = dict(rel=1e-12, abs=1e-12)
+        assert got.iterations == ref.iterations
+        assert got.risk == pytest.approx(ref.risk, **close)
+        assert got.levels == pytest.approx(ref.levels, **close)
+        assert got.price == pytest.approx(ref.price, **close)
+        assert got.multiplier == pytest.approx(ref.multiplier, **close)
+        assert got.stationarity == pytest.approx(ref.stationarity, **close)
 
 
 class TestOracleAVaRDual:
