@@ -50,7 +50,6 @@ from .measures import (
     WeightFunction,
     avar_risk,
     avar_weight,
-    g_k_value,
     gamma_value,
     hardy_littlewood_bounds,
     measure_from_dict,
@@ -58,7 +57,6 @@ from .measures import (
     measure_label,
     measure_risk,
     measure_to_dict,
-    mix_payoffs,
     parse_loss,
     parse_measure,
     parse_weight,
@@ -84,7 +82,6 @@ from .oracle import (
     OracleQuantileResult,
     OracleRobustResult,
     discretize,
-    oracle_avar_dual,
     oracle_quantile_based,
     oracle_robust,
     payoff_distance,
@@ -92,12 +89,10 @@ from .oracle import (
     verification_report,
 )
 from .solvers import (
-    DEFAULT_TOLERANCES,
     CurvePoint,
     CurveResult,
     ProblemSpec,
     Solution,
-    Tolerances,
     critical_value_robust,
     huber_strassen_pi,
     risk_curve,

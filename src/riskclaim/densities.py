@@ -107,7 +107,7 @@ class PriceDensity:
             return 0.0
         target = 1.0 - v
         f = lambda z: float(self.capital_integral(z)) - target
-        return root_bracketed(f, Bracket(0.0, 1.0), tol=Z_RESIDUAL_TOL, max_iter=200)
+        return root_bracketed(f, Bracket(0.0, 1.0), tol=Z_RESIDUAL_TOL)
 
     def to_dict(self) -> dict:
         raise NotImplementedError

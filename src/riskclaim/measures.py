@@ -122,21 +122,6 @@ def gamma_value(k: WeightFunction, x):
     return k.gamma(x)
 
 
-def g_k_value(d: PriceDensity, k: WeightFunction, x: float) -> float:
-    """Weight transported to the density scale.
-
-    Where F is continuous at x this is k(F(x)); across an atom it is the
-    average of k over the CDF jump [F(x-), F(x)].
-    """
-    if x < 0.0:
-        raise InvalidParameter(f"x must be nonnegative, got {x}")
-    hi = float(d.cdf(x))
-    lo = float(d.cdf_left(x))
-    if hi - lo <= 0.0:
-        return k.value_at(min(hi, 1.0))
-    return (k.gamma(hi) - k.gamma(lo)) / (hi - lo)
-
-
 # ---------------------------------------------------------------------------
 # Loss functions (convex, strictly increasing) with extended inverse of the
 # derivative: I(z) = (l')^{-1}(z) inside the range of l', -inf below it.
@@ -235,27 +220,38 @@ class Power(LossFunction):
 
     defined_on_reals = False
 
-    def value(self, x: float) -> float:
+    def _pow(self, x: float, e: float) -> float:
         if x < 0.0:
             raise InvalidParameter(f"power loss undefined for negative argument {x}")
-        return x**self.p
+        try:
+            return x**e
+        except OverflowError:
+            raise InvalidParameter(f"power loss x**{self.p} overflows at x = {x}") from None
+
+    def value(self, x: float) -> float:
+        return self._pow(x, self.p)
 
     def derivative(self, x: float) -> float:
-        if x < 0.0:
-            raise InvalidParameter(f"power loss undefined for negative argument {x}")
-        return self.p * x ** (self.p - 1.0)
+        return self.p * self._pow(x, self.p - 1.0)
 
     def inverse_derivative(self, z: float) -> float:
         if z < 0.0:
             return -math.inf
-        if math.isinf(z):
+        try:
+            return (z / self.p) ** (1.0 / (self.p - 1.0))
+        except OverflowError:
             return math.inf
-        return (z / self.p) ** (1.0 / (self.p - 1.0))
 
     def value_array(self, x: np.ndarray) -> np.ndarray:
         if np.any(x < 0.0):
             raise InvalidParameter("power loss undefined for negative arguments")
-        return x**self.p
+        try:
+            with np.errstate(over="raise"):
+                return x**self.p
+        except FloatingPointError:
+            raise InvalidParameter(
+                f"power loss x**{self.p} overflows at x = {np.max(x)}"
+            ) from None
 
     def inverse_derivative_array(self, z: np.ndarray) -> np.ndarray:
         return np.where(z >= 0.0, (np.maximum(z, 0.0) / self.p) ** (1.0 / (self.p - 1.0)), -math.inf)
@@ -535,17 +531,6 @@ def loss_from_dict(data: dict) -> LossFunction:
     if kind == "shifted":
         return Shifted(loss_from_dict(data["base"]), float(data["shift"]))
     raise InvalidParameter(f"unknown loss kind {kind!r}")
-
-
-def mix_payoffs(alpha: float, first: Payoff, second: Payoff, cap: float) -> StepVector:
-    """Convex combination of two step-type payoffs as a StepVector."""
-    if not 0.0 <= alpha <= 1.0:
-        raise InvalidParameter("alpha must lie in [0, 1]")
-    if not isinstance(first, _STEP_PAYOFFS) or not isinstance(second, _STEP_PAYOFFS):
-        raise InvalidParameter("mix_payoffs supports step-type payoffs only")
-    pts = merged_breakpoints([0.0], first.breakpoints(), second.breakpoints())
-    lv = tuple(alpha * first.value(p) + (1.0 - alpha) * second.value(p) for p in pts)
-    return StepVector(tuple(pts), lv, cap)
 
 
 # ---------------------------------------------------------------------------

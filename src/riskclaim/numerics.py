@@ -35,29 +35,17 @@ class Bracket:
         if not self.lo < self.hi:
             raise InvalidParameter(f"bracket must have positive width: [{self.lo}, {self.hi}]")
 
-    @classmethod
-    def for_root(cls, f: Callable[[float], float], lo: float, hi: float) -> "Bracket":
-        """Build a bracket after verifying the sign change f(lo)*f(hi) <= 0."""
-        b = cls(lo, hi)
-        flo, fhi = f(lo), f(hi)
-        if math.isnan(flo) or math.isnan(fhi):
-            raise NoBracket(f"f is NaN at a bracket endpoint: f({lo})={flo}, f({hi})={fhi}")
-        if flo * fhi > 0.0:
-            raise NoBracket(f"no sign change on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}")
-        return b
+
+_ROOT_MAX_ITER = 500
 
 
-def root_bracketed(
-    f: Callable[[float], float],
-    bracket: Bracket,
-    tol: float,
-    max_iter: int = 500,
-) -> float:
+def root_bracketed(f: Callable[[float], float], bracket: Bracket, tol: float) -> float:
     """Find a root of f inside a sign-change bracket.
 
     Hybrid secant/bisection: a secant candidate is accepted only if it falls
     safely inside the current bracket, otherwise the step bisects. Stops when
-    |f(x)| <= tol or the bracket width drops below tol * max(1, |x|).
+    |f(x)| <= tol or the bracket width drops below tol * max(1, |x|), and
+    raises NonConvergence after `_ROOT_MAX_ITER` steps.
     """
     if tol <= 0.0:
         raise InvalidParameter("tol must be positive")
@@ -71,7 +59,7 @@ def root_bracketed(
         raise NoBracket(f"no sign change on [{a}, {b}]: f(lo)={fa}, f(hi)={fb}")
 
     x, fx = (a, fa) if abs(fa) <= abs(fb) else (b, fb)
-    for _ in range(max_iter):
+    for _ in range(_ROOT_MAX_ITER):
         if abs(fx) <= tol or (b - a) <= tol * max(1.0, abs(x)):
             return x
         mid = 0.5 * (a + b)
@@ -95,24 +83,23 @@ def root_bracketed(
             b, fb = cand, fc
         x, fx = (cand, fc) if abs(fc) <= abs(fx) else (x, fx)
     raise NonConvergence(
-        f"root_bracketed: no convergence after {max_iter} iterations, |f|={abs(fx):.3e}",
+        f"root_bracketed: no convergence after {_ROOT_MAX_ITER} iterations, |f|={abs(fx):.3e}",
         residual=abs(fx),
     )
 
 
+_GROW = 4.0
+_BRACKET_STEPS = 400
+
+
 def geometric_bracket(
-    f: Callable[[float], float],
-    start: float,
-    lo_limit: float,
-    hi_limit: float,
-    grow: float = 4.0,
-    max_steps: int = 400,
+    f: Callable[[float], float], start: float, lo_limit: float, hi_limit: float
 ) -> Bracket:
     """Expand multiplicatively from `start` until f changes sign.
 
     Intended for strictly positive search variables (budget multipliers and
-    the like). Expansion alternates downward/upward from `start`, clamped to
-    [lo_limit, hi_limit].
+    the like). Expansion alternates downward/upward from `start` by a factor
+    `_GROW` per step, clamped to [lo_limit, hi_limit].
     """
     if not (0.0 < lo_limit < hi_limit) or not (lo_limit <= start <= hi_limit):
         raise InvalidParameter("geometric_bracket requires 0 < lo_limit <= start <= hi_limit")
@@ -122,16 +109,16 @@ def geometric_bracket(
         return Bracket(start - eps, start + eps)
     lo = hi = start
     flo = fhi = f0
-    for _ in range(max_steps):
+    for _ in range(_BRACKET_STEPS):
         moved = False
         if lo > lo_limit:
-            lo = max(lo / grow, lo_limit)
+            lo = max(lo / _GROW, lo_limit)
             flo = f(lo)
             moved = True
             if flo == 0.0 or (flo < 0.0) != (f0 < 0.0):
                 return Bracket(lo, hi if hi > lo else start)
         if hi < hi_limit:
-            hi = min(hi * grow, hi_limit)
+            hi = min(hi * _GROW, hi_limit)
             fhi = f(hi)
             moved = True
             if fhi == 0.0 or (fhi < 0.0) != (f0 < 0.0):

@@ -163,12 +163,7 @@ class OracleRobustResult:
     stationarity: float
 
 
-def oracle_robust(
-    inst: DiscreteInstance,
-    loss: LossFunction,
-    lam: float,
-    budget_tol: float = BUDGET_TOL,
-) -> OracleRobustResult:
+def oracle_robust(inst: DiscreteInstance, loss: LossFunction, lam: float) -> OracleRobustResult:
     """Exact minimizer of sum_i w_i loss(x_i) over the monotone box with a
     linear budget.
 
@@ -202,7 +197,7 @@ def oracle_robust(
 
     iterations = 0
     max_budget = cap * float(np.sum(a))
-    if v >= max_budget - budget_tol:
+    if v >= max_budget - BUDGET_TOL:
         theta = math.inf
         x = np.full(d.n_atoms, cap)
     else:
@@ -223,7 +218,7 @@ def oracle_robust(
                 hi = mid
         theta = hi
         x = atom_levels(theta)
-        if abs(float(np.dot(a, x)) - v) > budget_tol:
+        if abs(float(np.dot(a, x)) - v) > BUDGET_TOL:
             # land exactly on the budget by blending the bracketing fits
             x_lo = atom_levels(lo)
             b_lo, b_cur = float(np.dot(a, x_lo)), float(np.dot(a, x))
@@ -274,27 +269,6 @@ def _kkt_residual(
     deriv = np.asarray([loss.derivative(float(t)) for t in level[free]])
     grad = np.add.reduceat(w, starts)[free] * deriv - theta * np.add.reduceat(a, starts)[free]
     return float(np.max(np.abs(grad)))
-
-
-def oracle_avar_dual(inst: DiscreteInstance, lam: float, levels: Sequence[float]) -> float:
-    """Exact dual value: fill probability mass lam greedily at density 1/lam
-    onto the largest payoff levels, splitting the marginal atom fractionally."""
-    if not 0.0 < lam <= 1.0:
-        raise InvalidParameter(f"lambda must lie in (0, 1], got {lam}")
-    x = np.asarray(levels, dtype=float)
-    p = np.asarray(inst.density.probs)
-    if x.shape != p.shape:
-        raise InvalidParameter("payoff vector must have one level per atom")
-    order = np.argsort(-x, kind="stable")
-    remaining = lam
-    value = 0.0
-    for idx in order:
-        take = min(float(p[idx]), remaining)
-        value += take * float(x[idx])
-        remaining -= take
-        if remaining <= 0.0:
-            break
-    return value / lam
 
 
 def payoff_distance(inst: DiscreteInstance, payoff: Payoff, levels: Sequence[float]) -> float:

@@ -77,22 +77,8 @@ from .numerics import (
 )
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numeric knobs, pinned to the defaults the acceptance suite runs at."""
-
-    y_lambda_residual: float = 1e-11
-    budget_root: float = 1e-10
-    beta_search: float = 1e-9
-    grid_coarse: int = 400
-    grid_rounds: int = 40
-    flat_tol: float = 1e-9
-    curve_slack: float = 1e-7
-    classical_beta: float = 1e-9
-    tie_window: float = 1e-9
-
-
-DEFAULT_TOLERANCES = Tolerances()
+_BUDGET_ROOT = 1e-10  # tolerance of the multiplier, floor and critical-budget roots
+_CLASSICAL_BETA = 1e-9  # a floor or middle level this close to 0 (or 1) is classical
 
 
 @dataclass(frozen=True)
@@ -123,7 +109,6 @@ class ProblemSpec:
     density: PriceDensity
     budget: float
     cap: float = 1.0
-    tolerances: Tolerances = DEFAULT_TOLERANCES
 
     def __post_init__(self) -> None:
         if not (self.cap > 0.0 and math.isfinite(self.cap)):
@@ -142,7 +127,10 @@ class ProblemSpec:
 # ---------------------------------------------------------------------------
 
 
-def y_lambda(d: PriceDensity, lam: float, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
+_Y_LAMBDA_RESIDUAL = 1e-11
+
+
+def y_lambda(d: PriceDensity, lam: float) -> float:
     """Maximizer of y -> (y + lam - 1) / Phi(y) on (0, 1].
 
     Interior solutions solve q(y) (y + lam - 1) = Phi(y); they exist exactly
@@ -158,12 +146,10 @@ def y_lambda(d: PriceDensity, lam: float, tol: Tolerances = DEFAULT_TOLERANCES) 
     def g(y: float) -> float:
         return d.quantile(y) * (y + lam - 1.0) - float(d.capital_integral(y))
 
-    return root_bracketed(g, Bracket(1.0 - lam, 1.0), tol=tol.y_lambda_residual)
+    return root_bracketed(g, Bracket(1.0 - lam, 1.0), tol=_Y_LAMBDA_RESIDUAL)
 
 
-def solve_avar(
-    d: PriceDensity, lam: float, v: float, tol: Tolerances = DEFAULT_TOLERANCES
-) -> Solution:
+def solve_avar(d: PriceDensity, lam: float, v: float) -> Solution:
     """Closed-form optimum for average value at risk (cap normalized to 1)."""
     if not 0.0 < lam <= 1.0:
         raise InvalidParameter(f"lambda must lie in (0, 1], got {lam}")
@@ -186,7 +172,7 @@ def solve_avar(
             {"z_v": z, "b0": b0, "beta": 0.0},
         )
 
-    y_l = y_lambda(d, lam, tol)
+    y_l = y_lambda(d, lam)
     phi_y = float(d.capital_integral(y_l))
     v_l = 1.0 - phi_y
     c_l = (y_l + lam - 1.0) / phi_y
@@ -236,16 +222,17 @@ def huber_strassen_pi(d: PriceDensity, lam: float, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def solve_quantile_based(
-    d: PriceDensity, k: WeightFunction, v: float, tol: Tolerances = DEFAULT_TOLERANCES
-) -> Solution:
+_TIE_WINDOW = 1e-9
+
+
+def solve_quantile_based(d: PriceDensity, k: WeightFunction, v: float) -> Solution:
     """Minimize the two-step risk surface R(x, y) over the budget triangle.
 
     Candidates are beta(x, y) on [q(x), q(y)) and the full cap beyond q(y),
     with beta pinned by the budget. The surface is swept on a coarse grid
     with nested refinement; the boundary families x = 0, y = 1 and the
     corner (z_v, z_v) are refined separately so the known degeneracies are
-    hit exactly. Ties within `tie_window` resolve to the lexicographically
+    hit exactly. Ties within `_TIE_WINDOW` resolve to the lexicographically
     smallest (x, y) and all near-minimizers are reported in diagnostics.
     """
     if not 0.0 <= v <= 1.0:
@@ -273,25 +260,17 @@ def solve_quantile_based(
     def r_scalar(x: float, y: float) -> float:
         return float(r_vec(np.asarray(x, float), np.asarray(y, float)))
 
-    grid = minimize_2d(
-        r_vec,
-        (0.0, z),
-        (z, 1.0),
-        coarse_n=tol.grid_coarse,
-        rounds=tol.grid_rounds,
-        flat_tol=tol.flat_tol,
-        vectorized=True,
-    )
+    grid = minimize_2d(r_vec, (0.0, z), (z, 1.0), vectorized=True)
     candidates = [(grid.x, grid.y, grid.fmin)]
     candidates.append((z, z, r_scalar(z, z)))
     if z > 0.0:
-        edge_y = minimize_1d(lambda y: r_scalar(0.0, y), z, 1.0, tol=tol.beta_search)
+        edge_y = minimize_1d(lambda y: r_scalar(0.0, y), z, 1.0)
         candidates.append((0.0, edge_y.argmin, edge_y.fmin))
-        edge_x = minimize_1d(lambda x: r_scalar(x, 1.0), 0.0, z, tol=tol.beta_search)
+        edge_x = minimize_1d(lambda x: r_scalar(x, 1.0), 0.0, z)
         candidates.append((edge_x.argmin, 1.0, edge_x.fmin))
 
     fmin = min(c[2] for c in candidates)
-    near = sorted(c for c in candidates if c[2] <= fmin + tol.tie_window)
+    near = sorted(c for c in candidates if c[2] <= fmin + _TIE_WINDOW)
     x_star, y_star, _ = near[0]
 
     phi_x = float(d.capital_integral(x_star))
@@ -304,7 +283,7 @@ def solve_quantile_based(
     a = float(d.quantile(x_star))
     b = float(d.quantile(y_star))
     payoff = TwoStep(beta, a, b, 1.0)
-    classical = beta <= tol.classical_beta or beta >= 1.0 - tol.classical_beta or x_star == y_star
+    classical = beta <= _CLASSICAL_BETA or beta >= 1.0 - _CLASSICAL_BETA or x_star == y_star
     return Solution(
         payoff,
         risk,
@@ -333,11 +312,10 @@ class _RobustKernel:
     root-finds.
     """
 
-    def __init__(self, d: PriceDensity, loss: LossFunction, lam: float, cap: float, tol: Tolerances):
+    def __init__(self, d: PriceDensity, loss: LossFunction, lam: float, cap: float):
         self.d = d
         self.loss = loss
         self.cap = cap
-        self.tol = tol
         self.q_level = 1.0 - lam
         self.low_capital = float(d.capital_integral(self.q_level))  # E[phi; phi < q]
         self.tail_capital = d.mean() - self.low_capital
@@ -376,7 +354,7 @@ class _RobustKernel:
         target = v - beta * self.low_capital
         h = lambda c: self.tail_price(beta, c) - target
         bracket = geometric_bracket(h, self._last_c, 1e-220, 1e220)
-        c = root_bracketed(h, bracket, tol=self.tol.budget_root)
+        c = root_bracketed(h, bracket, tol=_BUDGET_ROOT)
         self._solved[(beta, v)] = self._last_c = c
         self.inner_iterations += 1
         return c
@@ -416,7 +394,6 @@ def solve_robust_utility(
     lam: float,
     v: float,
     cap: float = 1.0,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> Solution:
     """Optimal claim for the worst-case expected-loss functional.
 
@@ -444,7 +421,7 @@ def solve_robust_utility(
         risk = robust_risk(loss, lam, payoff, d)
         return Solution(payoff, risk, price(payoff, d) - v, "boundary", {"beta": v})
 
-    kernel = _RobustKernel(d, loss, lam, cap, tol)
+    kernel = _RobustKernel(d, loss, lam, cap)
     beta_lo, top = kernel.floor_range(v)
     slope = lambda b: kernel.objective_slope(b, v)
     if slope(beta_lo) >= 0.0:
@@ -453,14 +430,14 @@ def solve_robust_utility(
         beta, floor = top, "budget"
     else:
         # the slope carries the error of the budget root, so ask no more of it
-        beta = root_bracketed(slope, Bracket(beta_lo, top), tol=tol.budget_root)
+        beta = root_bracketed(slope, Bracket(beta_lo, top), tol=_BUDGET_ROOT)
         floor = "interior"
     c = kernel.solve_c(beta, v)
     y = kernel.loss.derivative(beta) / c
     payoff = CappedInverse(beta, c, y, cap, loss)
     risk = robust_risk(loss, lam, payoff, d)
     residual = price(payoff, d) - v
-    regime = "classical" if beta <= tol.classical_beta else "diversified"
+    regime = "classical" if beta <= _CLASSICAL_BETA else "diversified"
     return Solution(
         payoff,
         risk,
@@ -476,7 +453,6 @@ def critical_value_robust(
     loss: LossFunction,
     lam: float,
     cap: float = 1.0,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> float:
     """Budget level where the optimal risk-free floor turns positive.
 
@@ -491,7 +467,7 @@ def critical_value_robust(
             f"critical value defined for lambda in (0, 1) only, got {lam}"
         )
     require_solver_grade(d)
-    kernel = _RobustKernel(d, loss, lam, cap, tol)
+    kernel = _RobustKernel(d, loss, lam, cap)
     upper = cap * kernel.tail_capital
     lo, hi = 1e-3 * upper, upper * (1.0 - 1e-9)
     slope = lambda v: kernel.objective_slope(0.0, v)
@@ -501,7 +477,7 @@ def critical_value_robust(
         raise NonConvergence(
             f"risk-free floor still zero at the tail-capital bound {upper:.6g}"
         )
-    return root_bracketed(slope, Bracket(lo, hi), tol=tol.budget_root)
+    return root_bracketed(slope, Bracket(lo, hi), tol=_BUDGET_ROOT)
 
 
 def solve_shifted(
@@ -511,7 +487,6 @@ def solve_shifted(
     v: float,
     x0: float,
     cap: float = 1.0,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> Solution:
     """Optimal claim for the translation-invariant certainty-equivalent risk.
 
@@ -541,7 +516,7 @@ def solve_shifted(
             payoff, risk, price(payoff, d) - v, "boundary", {"alpha": v, "R": risk}
         )
 
-    robust = solve_robust_utility(d, loss, lam, v, cap, tol)
+    robust = solve_robust_utility(d, loss, lam, v, cap)
     level = shifted_risk(loss, lam, x0, robust.payoff, d)
     shifted = Shifted(loss, level)
     alpha, z = robust.params["beta"], robust.params["y"]
@@ -563,9 +538,7 @@ def solve_shifted(
 # ---------------------------------------------------------------------------
 
 
-def solve_var(
-    d: PriceDensity, lam: float, v: float, tol: Tolerances = DEFAULT_TOLERANCES
-) -> Solution:
+def solve_var(d: PriceDensity, lam: float, v: float) -> Solution:
     """Optimal claim under value at risk (cap normalized to 1).
 
     When z_v exceeds the level 1 - lam, the cheapest digital option lives
@@ -599,7 +572,7 @@ def solve_var(
         payoff,
         r,
         price(payoff, d) - v,
-        "classical" if r <= tol.classical_beta else "diversified",
+        "classical" if r <= _CLASSICAL_BETA else "diversified",
         {"r": r, "q": q_value, "z_v": z},
     )
 
@@ -638,17 +611,17 @@ def _scale_solution(sol: Solution, cap: float) -> Solution:
 def solve_problem(spec: ProblemSpec) -> Solution:
     """Route a problem spec to its solver, handling cap scaling for the
     positively homogeneous measures."""
-    m, d, v, cap, tol = spec.measure, spec.density, spec.budget, spec.cap, spec.tolerances
+    m, d, v, cap = spec.measure, spec.density, spec.budget, spec.cap
     if isinstance(m, AVaRMeasure):
-        return _scale_solution(solve_avar(d, m.lam, v / cap, tol), cap)
+        return _scale_solution(solve_avar(d, m.lam, v / cap), cap)
     if isinstance(m, QuantileMeasure):
-        return _scale_solution(solve_quantile_based(d, m.weight, v / cap, tol), cap)
+        return _scale_solution(solve_quantile_based(d, m.weight, v / cap), cap)
     if isinstance(m, VaRMeasure):
-        return _scale_solution(solve_var(d, m.lam, v / cap, tol), cap)
+        return _scale_solution(solve_var(d, m.lam, v / cap), cap)
     if isinstance(m, RobustMeasure):
-        return solve_robust_utility(d, m.loss, m.lam, v, cap, tol)
+        return solve_robust_utility(d, m.loss, m.lam, v, cap)
     if isinstance(m, ShiftedMeasure):
-        return solve_shifted(d, m.loss, m.lam, v, m.x0, cap, tol)
+        return solve_shifted(d, m.loss, m.lam, v, m.x0, cap)
     raise InvalidParameter(f"unknown measure {type(m).__name__}")
 
 
@@ -670,13 +643,16 @@ class CurveResult:
         return [p.solution.risk for p in self.points if p.solution is not None]
 
 
+_CURVE_SLACK = 1e-7
+
+
 def risk_curve(
     spec: ProblemSpec, v_grid: Sequence[float], strict: bool = True
 ) -> CurveResult:
     """Solve along an ascending budget grid and check the curve's shape.
 
     Convex measures must produce a nondecreasing, discretely convex curve
-    (slack `curve_slack`); the convexity check is skipped for value at risk,
+    (slack `_CURVE_SLACK`); the convexity check is skipped for value at risk,
     which is not convex. Per-point solver failures are recorded, not raised.
     """
     grid = [float(v) for v in v_grid]
@@ -692,11 +668,10 @@ def risk_curve(
             points.append(CurvePoint(v, None, f"{type(exc).__name__}: {exc}"))
 
     ok = [(p.v, p.solution.risk) for p in points if p.solution is not None]
-    slack = spec.tolerances.curve_slack
     violation = 0.0
     monotone = True
     for (_, r0), (_, r1) in zip(ok[:-1], ok[1:]):
-        if r1 - r0 < -slack:
+        if r1 - r0 < -_CURVE_SLACK:
             monotone = False
             violation = max(violation, r0 - r1)
     if measure_is_convex(spec.measure):
@@ -704,7 +679,7 @@ def risk_curve(
         for (v0, r0), (v1, r1), (v2, r2) in zip(ok[:-2], ok[1:-1], ok[2:]):
             if v1 > v0 and v2 > v1:
                 bend = (r2 - r1) / (v2 - v1) - (r1 - r0) / (v1 - v0)
-                if bend < -slack:
+                if bend < -_CURVE_SLACK:
                     convex = False
                     violation = max(violation, -bend)
         convexity = "ok" if convex else "violated"

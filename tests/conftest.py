@@ -24,6 +24,7 @@ from riskclaim import (
     two_level_weight,
 )
 from riskclaim.measures import LossFunction
+from riskclaim.numerics import merged_breakpoints
 from riskclaim.oracle import OracleRobustResult, tail_weights
 
 
@@ -83,6 +84,13 @@ def random_step_payoff(rng: np.random.Generator, cap: float = 1.0):
     points = np.cumsum(rng.uniform(0.05, 0.8, size=m))
     levels = np.sort(rng.uniform(0.0, cap, size=m))
     return StepVector(tuple(points.tolist()), tuple(levels.tolist()), cap)
+
+
+def mix_payoffs(alpha: float, first, second, cap: float) -> StepVector:
+    """Convex combination of two step-type payoffs as a StepVector."""
+    pts = merged_breakpoints([0.0], first.breakpoints(), second.breakpoints())
+    lv = tuple(alpha * first.value(p) + (1.0 - alpha) * second.value(p) for p in pts)
+    return StepVector(tuple(pts), lv, cap)
 
 
 def random_tail_density(rng: np.random.Generator) -> PiecewiseLinearQuantile:

@@ -123,6 +123,21 @@ class TestSolve:
         assert code == 2
         assert "overflows" in err
 
+    @pytest.mark.parametrize(
+        "loss, cap, v",
+        [("pow:2", "1e200", "5e199"), ("pow:2", "1e160", "5e159"), ("pow:3", "1e200", "5e199")],
+    )
+    def test_overflowing_power_loss_is_solver_error(self, capsys, loss, cap, v):
+        # the risk is past the float range: no "risk": Infinity, no traceback
+        code, out, err = run(
+            ["solve", "--measure", f"robust:{loss}:0.75", "--density", "uniform:0,2",
+             "--cap", cap, "--v", v],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "overflows" in err
+
 
 class TestCurve:
     def test_avar_curve(self, tmp_path, capsys):

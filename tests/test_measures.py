@@ -20,12 +20,10 @@ from riskclaim import (
     UnsupportedDensity,
     avar_risk,
     avar_weight,
-    g_k_value,
     gamma_value,
     hardy_littlewood_bounds,
     measure_from_dict,
     measure_to_dict,
-    mix_payoffs,
     parse_loss,
     parse_measure,
     parse_weight,
@@ -40,6 +38,7 @@ from riskclaim import (
 
 from conftest import (
     found_tail_density,
+    mix_payoffs,
     quad_price,
     random_continuous_density,
     random_discrete_density,
@@ -80,25 +79,6 @@ class TestWeightFunction:
             WeightFunction((0.0, 0.5), (1.5, 0.5))  # decreasing
         with pytest.raises(InvalidParameter):
             gamma_value(avar_weight(0.5), 1.2)
-
-
-class TestGkValue:
-    def test_continuous_branch(self):
-        k = avar_weight(0.75)
-        assert g_k_value(UNIF, k, 1.0) == pytest.approx(4.0 / 3.0)
-
-    def test_constant_weight(self):
-        k = avar_weight(1.0)
-        for x in [0.1, 1.0, 1.9]:
-            assert g_k_value(UNIF, k, x) == pytest.approx(1.0)
-
-    def test_atom_branch_averages(self):
-        # atom with CDF jump [0.2, 0.8] under k = 2 * 1_{[0.5, 1)}
-        d = EmpiricalDiscrete((0.4, 1.16, 2.0), (0.2, 0.6, 0.2))
-        k = avar_weight(0.5)
-        expected = (gamma_value(k, 0.8) - gamma_value(k, 0.2)) / 0.6
-        assert g_k_value(d, k, 1.16) == pytest.approx(expected)
-        assert expected == pytest.approx(1.0)
 
 
 class TestPrice:
@@ -413,6 +393,18 @@ class TestLosses:
     def test_exponential_value_array_overflow(self):
         with pytest.raises(InvalidParameter):
             Exponential(2.0).value_array(np.asarray([0.5, 400.0]))
+
+    def test_power_overflow(self):
+        with pytest.raises(InvalidParameter):
+            Power(2.0).value(1e200)
+        with pytest.raises(InvalidParameter):
+            Power(2.0).value_array(np.asarray([0.5, 1e200]))
+        with pytest.raises(InvalidParameter):
+            Power(3.0).derivative(1e200)
+        # past the float range the inverse is inf, as in the array variant
+        assert Power(1.01).inverse_derivative(1e10) == math.inf
+        with np.errstate(over="ignore"):
+            assert Power(1.01).inverse_derivative_array(np.asarray([1e10]))[0] == math.inf
 
 
 class TestPayoffs:

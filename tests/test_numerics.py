@@ -25,11 +25,6 @@ class TestBracket:
         with pytest.raises(InvalidParameter):
             Bracket(2.0, 1.0)
 
-    def test_for_root_checks_sign(self):
-        Bracket.for_root(lambda x: x, -1.0, 1.0)
-        with pytest.raises(NoBracket):
-            Bracket.for_root(lambda x: x * x + 1.0, -1.0, 1.0)
-
 
 class TestRootBracketed:
     def test_quadratic(self):

@@ -11,7 +11,6 @@ from riskclaim import (
     Uniform,
     avar_weight,
     discretize,
-    oracle_avar_dual,
     oracle_quantile_based,
     oracle_robust,
     payoff_distance,
@@ -167,34 +166,6 @@ class TestOracleRobustMatchesReference:
         assert got.price == pytest.approx(ref.price, **close)
         assert got.multiplier == pytest.approx(ref.multiplier, **close)
         assert got.stationarity == pytest.approx(ref.stationarity, **close)
-
-
-class TestOracleAVaRDual:
-    def test_constant(self):
-        inst = DiscreteInstance(discretize(UNIF, 4), 0.5, 1.0)
-        assert oracle_avar_dual(inst, 0.4, [0.3] * 4) == pytest.approx(0.3)
-
-    def test_two_atom_half(self):
-        inst = DiscreteInstance(discretize(UNIF, 2), 0.5, 1.0)
-        assert oracle_avar_dual(inst, 0.5, [0.0, 1.0]) == pytest.approx(1.0)
-
-    def test_two_atom_fractional(self):
-        inst = DiscreteInstance(discretize(UNIF, 2), 0.5, 1.0)
-        assert oracle_avar_dual(inst, 0.75, [0.0, 1.0]) == pytest.approx(2.0 / 3.0)
-
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=30, deadline=None)
-    def test_primal_dual_agreement(self, seed):
-        rng = np.random.default_rng(seed)
-        d = random_discrete_density(rng, int(rng.integers(2, 10)))
-        lam = float(rng.uniform(0.05, 1.0))
-        levels = np.sort(rng.uniform(0.0, 1.0, size=d.n_atoms))
-        inst = DiscreteInstance(d, 0.5, 1.0)
-        dual = oracle_avar_dual(inst, lam, levels)
-        c = d.cell_bounds
-        widths = np.clip(np.minimum(c[1:], 1.0) - np.maximum(c[:-1], 1.0 - lam), 0.0, None)
-        primal = float(np.dot(widths, levels)) / lam
-        assert dual == pytest.approx(primal, abs=1e-12)
 
 
 class TestDiscreteInstance:

@@ -38,7 +38,7 @@ from riskclaim import (
     var_risk,
     y_lambda,
 )
-from riskclaim.solvers import DEFAULT_TOLERANCES, _RobustKernel
+from riskclaim.solvers import _RobustKernel
 
 from conftest import (
     found_tail_density,
@@ -250,7 +250,7 @@ class TestSolveRobustUtility:
         floor grid scores below the slope root."""
         lam, v = 0.75, 0.5
         s = solve_robust_utility(density, loss, lam, v, 1.0)
-        kernel = _RobustKernel(density, loss, lam, 1.0, DEFAULT_TOLERANCES)
+        kernel = _RobustKernel(density, loss, lam, 1.0)
         lo, top = kernel.floor_range(v)
         grid_risks = []
         for beta in map(float, np.linspace(lo, top, 201)):
