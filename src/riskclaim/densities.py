@@ -92,7 +92,12 @@ class PriceDensity:
         raise NotImplementedError
 
     def z_of_v(self, v: float) -> float:
-        """Solve Phi(z) = 1 - v on [0, 1] by bracketed root-finding."""
+        """Solve Phi(z) = Phi(1) - v on [0, 1] by bracketed root-finding.
+
+        Phi(1) is the density's own mean, which validation lets differ
+        from 1 by up to `MEAN_TOL`; writing the tail price as 1 - Phi
+        would lose every budget below that difference.
+        """
         if isinstance(v, bool) or not (-1e-12 <= v <= 1.0 + 1e-12):
             raise InvalidParameter(f"budget v must lie in [0, 1], got {v}")
         v = min(max(v, 0.0), 1.0)  # roundoff excursions from computed budgets
@@ -105,7 +110,7 @@ class PriceDensity:
             return 1.0
         if v == 1.0:
             return 0.0
-        target = 1.0 - v
+        target = self.mean() - v
         f = lambda z: float(self.capital_integral(z)) - target
         return root_bracketed(f, Bracket(0.0, 1.0), tol=Z_RESIDUAL_TOL)
 

@@ -2,11 +2,15 @@
 fixed-node Gauss-Legendre rule behind every quadrature in the package.
 
 Everything here is derivative-free on purpose: the objective functions fed
-in by the solvers have kinks where min/max caps activate, so secant steps
-are always guarded by bisection and minimization is scan + golden section
-or nested grids. Tie-breaks are leftmost (lexicographic in 2-D) so results
-are deterministic. Quadrature has no tolerance: callers cut the interval
-where the integrand has kinks, so each piece is smooth.
+in by the solvers have kinks where min/max caps activate. Roots come from
+Brent's zeroin, whose interpolation steps fall back to bisection whenever
+they would not shrink the sign-change bracket fast enough; a caller that
+passes the size of the values it compares gets stops relative to that size
+and to the root, so a change of units leaves the answer unchanged.
+Minimization is scan + golden section or nested grids. Tie-breaks are
+leftmost (lexicographic in 2-D) so results are deterministic. Quadrature
+has no tolerance: callers cut the interval where the integrand has kinks,
+so each piece is smooth.
 """
 
 from __future__ import annotations
@@ -37,18 +41,39 @@ class Bracket:
 
 
 _ROOT_MAX_ITER = 500
+_EPS = 2e-16  # relative width below which a bracket cannot shrink further
 
 
-def root_bracketed(f: Callable[[float], float], bracket: Bracket, tol: float) -> float:
-    """Find a root of f inside a sign-change bracket.
+def root_bracketed(
+    f: Callable[[float], float],
+    bracket: Bracket,
+    tol: float,
+    scale: float | None = None,
+) -> float:
+    """Find a root of f inside a sign-change bracket by Brent's zeroin.
 
-    Hybrid secant/bisection: a secant candidate is accepted only if it falls
-    safely inside the current bracket, otherwise the step bisects. Stops when
-    |f(x)| <= tol or the bracket width drops below tol * max(1, |x|), and
-    raises NonConvergence after `_ROOT_MAX_ITER` steps.
+    Each step tries inverse quadratic interpolation through the last three
+    points (a secant when only two are distinct) and takes it only if it
+    lands well inside the bracket and is under half the step before last;
+    otherwise it bisects. The bracket always holds a sign change, so the
+    root is never lost, and a stale end never slows it (Brent 1973, ch. 4).
+
+    Stops, with `scale` (the size of the values f compares, such as the
+    budget a price must match): |f(x)| <= tol * scale, or half the bracket
+    at most 2e-16 |x| + tol |x| / 2, both relative, so rescaling f and x
+    leaves the answer unchanged. Without `scale`: |f(x)| <= tol, or the
+    bracket at most tol * max(1, |x|) wide. A NaN at a trial point is
+    retried once at the bracket midpoint. Raises NoBracket without a sign
+    change at the ends, NonConvergence after `_ROOT_MAX_ITER` steps.
     """
     if tol <= 0.0:
         raise InvalidParameter("tol must be positive")
+    if scale is None:
+        f_stop = tol
+        half_width = lambda x: 0.5 * tol * max(1.0, abs(x))
+    else:
+        f_stop = tol * scale
+        half_width = lambda x: (_EPS + 0.5 * tol) * abs(x)
     a, b = bracket.lo, bracket.hi
     fa, fb = f(a), f(b)
     if fa == 0.0:
@@ -58,33 +83,50 @@ def root_bracketed(f: Callable[[float], float], bracket: Bracket, tol: float) ->
     if math.isnan(fa) or math.isnan(fb) or fa * fb > 0.0:
         raise NoBracket(f"no sign change on [{a}, {b}]: f(lo)={fa}, f(hi)={fb}")
 
-    x, fx = (a, fa) if abs(fa) <= abs(fb) else (b, fb)
+    c, fc = a, fa
+    d = e = b - a
     for _ in range(_ROOT_MAX_ITER):
-        if abs(fx) <= tol or (b - a) <= tol * max(1.0, abs(x)):
-            return x
-        mid = 0.5 * (a + b)
-        cand = mid
-        if math.isfinite(fa) and math.isfinite(fb) and fb != fa:
-            secant = (a * fb - b * fa) / (fb - fa)
-            width = b - a
-            if a + 0.01 * width < secant < b - 0.01 * width:
-                cand = secant
-        fc = f(cand)
-        if fc == 0.0 or math.isnan(fc):
-            if math.isnan(fc):
-                cand, fc = mid, f(mid)  # retry plain bisection away from bad point
-                if math.isnan(fc):
-                    raise NonConvergence("root_bracketed hit NaN at bisection midpoint")
-            if fc == 0.0:
-                return cand
-        if (fa < 0.0) == (fc < 0.0):
-            a, fa = cand, fc
+        if (fb > 0.0) == (fc > 0.0):  # keep the sign change between b and c
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):  # b is the best point so far
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol1 = half_width(b)
+        xm = 0.5 * (c - b)
+        if abs(xm) <= tol1 or abs(fb) <= f_stop:
+            return b
+        if abs(e) >= tol1 and abs(fa) > abs(fb) and math.isfinite(fa):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * xm * s, 1.0 - s
+            else:  # inverse quadratic
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = xm
         else:
-            b, fb = cand, fc
-        x, fx = (cand, fc) if abs(fc) <= abs(fx) else (x, fx)
+            d = e = xm
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, xm)
+        fb = f(b)
+        if math.isnan(fb):  # retry plain bisection away from the bad point
+            b = a + xm
+            d = e = xm
+            fb = f(b)
+            if math.isnan(fb):
+                raise NonConvergence("root_bracketed hit NaN at bisection midpoint")
+        if fb == 0.0:
+            return b
     raise NonConvergence(
-        f"root_bracketed: no convergence after {_ROOT_MAX_ITER} iterations, |f|={abs(fx):.3e}",
-        residual=abs(fx),
+        f"root_bracketed: no convergence after {_ROOT_MAX_ITER} iterations, |f|={abs(fb):.3e}",
+        residual=abs(fb),
     )
 
 

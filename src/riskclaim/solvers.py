@@ -77,7 +77,7 @@ from .numerics import (
 )
 
 
-_BUDGET_ROOT = 1e-10  # tolerance of the multiplier, floor and critical-budget roots
+_BUDGET_ROOT = 1e-10  # multiplier, floor and critical-budget roots; relative where scaled
 _CLASSICAL_BETA = 1e-9  # a floor or middle level this close to 0 (or 1) is classical
 
 
@@ -174,7 +174,8 @@ def solve_avar(d: PriceDensity, lam: float, v: float) -> Solution:
 
     y_l = y_lambda(d, lam)
     phi_y = float(d.capital_integral(y_l))
-    v_l = 1.0 - phi_y
+    b1 = float(d.quantile(y_l))
+    v_l = float(d.tail_capital(b1))  # Phi(1) - Phi(y_l), exactly 0 at y_l = 1
     c_l = (y_l + lam - 1.0) / phi_y
     if v <= v_l:
         z = d.z_of_v(v)
@@ -189,10 +190,9 @@ def solve_avar(d: PriceDensity, lam: float, v: float) -> Solution:
             {"z_v": z, "b0": b0, "beta": 0.0, "y_lambda": y_l, "C_lambda": c_l},
             critical_value=v_l,
         )
-    beta = (v - 1.0 + phi_y) / phi_y
-    b1 = float(d.quantile(y_l))
+    beta = (v - v_l) / phi_y
     payoff = TwoStep(beta, 0.0, b1, 1.0)
-    risk = 1.0 - c_l * (1.0 - v) / lam
+    risk = (beta * (y_l + lam - 1.0) + (1.0 - y_l)) / lam
     return Solution(
         payoff,
         risk,
@@ -243,9 +243,10 @@ def solve_quantile_based(d: PriceDensity, k: WeightFunction, v: float) -> Soluti
         return Solution(payoff, v, price(payoff, d) - v, "boundary", {"beta": v})
 
     z = d.z_of_v(v)
+    mean = d.mean()  # Phi(1): the tail above level y costs mean - Phi(y)
 
     def beta_of(px, py):
-        num = v - 1.0 + py
+        num = v - mean + py
         den = py - px
         return np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
 
@@ -273,15 +274,15 @@ def solve_quantile_based(d: PriceDensity, k: WeightFunction, v: float) -> Soluti
     near = sorted(c for c in candidates if c[2] <= fmin + _TIE_WINDOW)
     x_star, y_star, _ = near[0]
 
-    phi_x = float(d.capital_integral(x_star))
-    phi_y = float(d.capital_integral(y_star))
-    den = phi_y - phi_x
-    beta = min(max((v - 1.0 + phi_y) / den, 0.0), 1.0) if den > 0.0 else 0.0
+    a = float(d.quantile(x_star))
+    b = float(d.quantile(y_star))
+    # the budget in the claim's own tail prices, Phi(1) - Phi at both levels
+    tail_a, tail_b = float(d.tail_capital(a)), float(d.tail_capital(b))
+    den = tail_a - tail_b
+    beta = min(max((v - tail_b) / den, 0.0), 1.0) if den > 0.0 else 0.0
     # score the claim actually returned, with its middle level clipped to [0, 1]
     gamma_x, gamma_y = float(k.gamma(x_star)), float(k.gamma(y_star))
     risk = beta * (gamma_y - gamma_x) + 1.0 - gamma_y
-    a = float(d.quantile(x_star))
-    b = float(d.quantile(y_star))
     payoff = TwoStep(beta, a, b, 1.0)
     classical = beta <= _CLASSICAL_BETA or beta >= 1.0 - _CLASSICAL_BETA or x_star == y_star
     return Solution(
@@ -354,7 +355,7 @@ class _RobustKernel:
         target = v - beta * self.low_capital
         h = lambda c: self.tail_price(beta, c) - target
         bracket = geometric_bracket(h, self._last_c, 1e-220, 1e220)
-        c = root_bracketed(h, bracket, tol=_BUDGET_ROOT)
+        c = root_bracketed(h, bracket, tol=_BUDGET_ROOT, scale=abs(target))
         self._solved[(beta, v)] = self._last_c = c
         self.inner_iterations += 1
         return c
@@ -424,20 +425,24 @@ def solve_robust_utility(
     kernel = _RobustKernel(d, loss, lam, cap)
     beta_lo, top = kernel.floor_range(v)
     slope = lambda b: kernel.objective_slope(b, v)
-    if slope(beta_lo) >= 0.0:
+    slope_lo = slope(beta_lo)
+    if slope_lo >= 0.0:
         beta, floor = beta_lo, "lower"
-    elif slope(top) <= 0.0:
+    elif (slope_top := slope(top)) <= 0.0:
         beta, floor = top, "budget"
     else:
         # the slope carries the error of the budget root, so ask no more of it
-        beta = root_bracketed(slope, Bracket(beta_lo, top), tol=_BUDGET_ROOT)
+        # than that error relative to the slope's own size at the two ends
+        beta = root_bracketed(
+            slope, Bracket(beta_lo, top), tol=_BUDGET_ROOT, scale=max(-slope_lo, slope_top)
+        )
         floor = "interior"
     c = kernel.solve_c(beta, v)
     y = kernel.loss.derivative(beta) / c
     payoff = CappedInverse(beta, c, y, cap, loss)
     risk = robust_risk(loss, lam, payoff, d)
     residual = price(payoff, d) - v
-    regime = "classical" if beta <= _CLASSICAL_BETA else "diversified"
+    regime = "classical" if beta <= _CLASSICAL_BETA * cap else "diversified"
     return Solution(
         payoff,
         risk,
@@ -566,7 +571,7 @@ def solve_var(d: PriceDensity, lam: float, v: float) -> Solution:
         )
     q_value = float(d.quantile(q_level))
     tail = float(d.tail_capital(q_value))
-    r = min(max((v - tail) / (1.0 - tail), 0.0), 1.0)
+    r = min(max((v - tail) / (d.mean() - tail), 0.0), 1.0)
     payoff = TwoStep(r, 0.0, q_value, 1.0)
     return Solution(
         payoff,

@@ -86,6 +86,40 @@ class TestSolve:
             capsys,
         )
 
+    @pytest.mark.parametrize(
+        "measure, density, extra",
+        [
+            # small money units: the budget root must stop relative to v
+            ("robust:pow:2:0.75", "uniform:0,2", ["--cap", "1e-6", "--v", "2e-7"]),
+            ("robust:exp:0.000001:0.75", "uniform:0,2", ["--v", "0.2"]),
+            ("robust:pow:2:0.75", "plq:0:0.2,0.5:0.8,1:2.2", ["--cap", "1e-6", "--v", "9e-7"]),
+            # a density whose mean is 1 - 1e-9: the tail costs Phi(1) - Phi, not 1 - Phi
+            ("avar:0.5", "uniform:0.5,1.499999999", ["--v", "1e-10"]),
+            ("rho_k:twolevel:0.6,0.5", "uniform:0.5,1.499999999", ["--v", "1e-10"]),
+        ],
+    )
+    def test_budget_binds_relative_to_v(self, measure, density, extra, capsys):
+        code, out, _ = run(["solve", "--measure", measure, "--density", density, *extra], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert abs(doc["budget_residual"]) <= 1e-9 * doc["v"]
+
+    def test_var_budget_binds_when_the_mean_is_below_one(self, capsys):
+        # the zero-risk VaR claim is the digital above b, near ess sup phi; the
+        # budget binds to 1e-9 v or, at this tiny v, to the price change of one
+        # float step of b (phi has density 1/(hi - lo) there)
+        code, out, _ = run(
+            ["solve", "--measure", "var:0.5", "--density", "uniform:0.5,1.499999999",
+             "--v", "1e-10"],
+            capsys,
+        )
+        assert code == 0
+        doc = json.loads(out)
+        b = doc["params"]["b"]
+        one_step = b * math.ulp(b) / (1.499999999 - 0.5)
+        assert doc["risk"] == 0.0
+        assert abs(doc["budget_residual"]) <= max(1e-9 * doc["v"], one_step)
+
     def test_missing_option_is_config_error(self, capsys):
         code, _, err = run(["solve", "--measure", "avar:0.75", "--v", "0.5"], capsys)
         assert code == 1
